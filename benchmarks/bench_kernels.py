@@ -1,8 +1,9 @@
 """Kernel speedup benchmark: vectorized hot paths vs their loop references.
 
 Times every vectorized kernel in the repo against the pre-vectorization
-loop implementation it replaced (see ``docs/PERFORMANCE.md`` for the full
-hot-path inventory) and writes a machine-readable ``BENCH_kernels.json``
+loop implementation it replaced, and each pure-float defense loop against
+its NumPy-scalar original (see ``docs/PERFORMANCE.md`` for the full
+hot-path inventory), and writes a machine-readable ``BENCH_kernels.json``
 next to the working directory (override with ``REPRO_BENCH_KERNELS_OUT``).
 CI uploads that file as a workflow artifact so speedups can be compared
 across commits.
@@ -32,8 +33,16 @@ import numpy as np
 
 from repro.attacks.nilm._reference import pair_candidates_loop
 from repro.attacks.nilm.powerplay import _pair_candidates, fig2_signatures
+from repro.defenses import CHPrController, CHPrTraceDefense, NILLDefense, SteppedDefense
+from repro.defenses._reference import (
+    chpr_control_loop,
+    nill_apply_loop,
+    stepped_apply_loop,
+    thermostat_power_loop,
+)
 from repro.home._reference import simulate_cyclic_loop, simulate_lighting_loop
 from repro.home.appliances import CyclicAppliance, LightingAppliance
+from repro.home.waterheater import thermostat_power
 from repro.ml import kernels
 from repro.ml._reference import decode_loop, fit_loop
 from repro.ml.fhmm import FactorialHMM, fit_appliance_chain
@@ -231,6 +240,56 @@ def run_benchmarks(reps: int = 3) -> dict:
         "broadcast rise x fall candidate scoring, 400 edges",
     )
     results[name] = row
+
+    # --- per-sample defense recurrences (pure floats vs NumPy scalars) ---
+    n = int(3 * 86400 / 30.0)
+    rng = np.random.default_rng(4)
+    vals = np.abs(rng.normal(250.0, 300.0, n))
+    vals[rng.uniform(size=n) < 0.3] *= 0.05
+    load = PowerTrace(vals, 30.0)
+    chpr = CHPrTraceDefense()
+    draws = chpr._draws(load)
+
+    def same_tank_run(a, b):
+        (p1, t1), (p2, t2) = a, b
+        return np.array_equal(p1, p2) and (t1.temp_c, t1.samples) == (
+            t2.temp_c, t2.samples
+        )
+
+    name, row = _entry(
+        "thermostat",
+        lambda: thermostat_power_loop(draws, 30.0, chpr.heater),
+        lambda: thermostat_power(draws, 30.0, chpr.heater),
+        same_tank_run, reps,
+        "water-heater hysteresis thermostat, 3 days @ 30 s",
+    )
+    results[name] = row
+    name, row = _entry(
+        "chpr_control",
+        lambda: chpr_control_loop(
+            CHPrController(chpr.heater, chpr.config, 1), load, draws
+        ),
+        lambda: CHPrController(chpr.heater, chpr.config, 1).control(load, draws),
+        same_tank_run, reps,
+        "CHPr window planner + tank recurrence, 3 days @ 30 s",
+    )
+    results[name] = row
+    for defense, reference in (
+        (NILLDefense(), nill_apply_loop),
+        (SteppedDefense(), stepped_apply_loop),
+    ):
+        name, row = _entry(
+            defense.name,
+            lambda d=defense, ref=reference: ref(d, load),
+            lambda d=defense: d.apply(load),
+            lambda a, b: (
+                np.array_equal(a.visible.values, b.visible.values)
+                and a.extra_energy_kwh == b.extra_energy_kwh
+            ),
+            reps,
+            f"{defense.name} battery recurrence, 3 days @ 30 s",
+        )
+        results[name] = row
 
     return {
         "schema": "repro.bench_kernels/1",

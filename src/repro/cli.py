@@ -500,21 +500,46 @@ def cmd_fleet(args) -> int:
         out.write_text(
             json_mod.dumps(report.telemetry, indent=2, sort_keys=True) + "\n"
         )
-        timers = report.telemetry["totals"]["timers"]
-        stages = {
-            name.split(".", 1)[1]: stat["total_s"]
-            for name, stat in timers.items()
-            if name.startswith("stage.") and name != "stage.job"
-        }
-        if stages:
-            breakdown = ", ".join(
-                f"{name} {seconds:.2f}s" for name, seconds in stages.items()
-            )
+        breakdown = _stage_breakdown({
+            name: stat["total_s"]
+            for name, stat in report.telemetry["totals"]["timers"].items()
+        })
+        if breakdown:
             print(f"telemetry: {breakdown}")
         print(f"telemetry JSON written to {args.telemetry}")
     if args.profile:
         print(f"per-home cProfile dumps written to {args.profile}/")
     return 1 if report.failures else 0
+
+
+#: stage timers that wrap other stage timers (a whole job, a batched block
+#: of jobs): listing them beside their contents would count seconds twice
+_CONTAINER_STAGES = frozenset({"stage.job", "stage.block", "stage.netpriv_job"})
+
+
+def _stage_breakdown(totals: dict[str, float]) -> str:
+    """The ``telemetry:`` summary of stage timer totals (name -> seconds).
+
+    Lists each top-level ``stage.<name>`` timer once; nested component
+    timers (``stage.defend.<defense>``, ``stage.attack.<detector>``) appear
+    in parentheses after their parent, never as separate terms, so the
+    listed top-level seconds never count the same time twice.
+    """
+    parts = []
+    for name, seconds in totals.items():
+        stage = name.removeprefix("stage.")
+        if stage == name or "." in stage or name in _CONTAINER_STAGES:
+            continue
+        part = f"{stage} {seconds:.2f}s"
+        children = [
+            f"{child[len(name) + 1:]} {child_s:.2f}s"
+            for child, child_s in totals.items()
+            if child.startswith(name + ".")
+        ]
+        if children:
+            part += f" ({', '.join(children)})"
+        parts.append(part)
+    return ", ".join(parts)
 
 
 def cmd_sweep(args) -> int:
@@ -603,15 +628,11 @@ def cmd_sweep(args) -> int:
             json_mod.dumps(result.telemetry.as_dict(), indent=2, sort_keys=True)
             + "\n"
         )
-        stages = {
-            name.split(".", 1)[1]: stat.total_s
-            for name, stat in result.telemetry.timers.items()
-            if name.startswith("stage.") and name != "stage.job"
-        }
-        if stages:
-            print("telemetry: " + ", ".join(
-                f"{name} {seconds:.2f}s" for name, seconds in stages.items()
-            ))
+        breakdown = _stage_breakdown({
+            name: stat.total_s for name, stat in result.telemetry.timers.items()
+        })
+        if breakdown:
+            print(f"telemetry: {breakdown}")
         print(f"sweep telemetry JSON written to {args.telemetry}")
     if args.profile:
         print(f"per-home cProfile dumps written to {args.profile}/")
@@ -694,16 +715,12 @@ def cmd_netpriv(args) -> int:
     if args.telemetry and result.telemetry is not None:
         _write_json(args.telemetry, result.telemetry.as_dict())
         flows = result.telemetry.counters.get("netpriv.flows", 0.0)
-        stages = {
-            name.split(".", 1)[1]: stat.total_s
-            for name, stat in result.telemetry.timers.items()
-            if name.startswith("stage.") and name != "stage.netpriv_job"
-        }
+        breakdown = _stage_breakdown({
+            name: stat.total_s for name, stat in result.telemetry.timers.items()
+        })
         line = f"telemetry: {flows:.0f} flows"
-        if stages:
-            line += ", " + ", ".join(
-                f"{name} {seconds:.2f}s" for name, seconds in stages.items()
-            )
+        if breakdown:
+            line += f", {breakdown}"
         print(line)
         print(f"netpriv telemetry JSON written to {args.telemetry}")
 

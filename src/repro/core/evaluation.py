@@ -13,6 +13,7 @@ import numpy as np
 
 from ..attacks.niom import ClusterNIOM, HMMNIOM, ThresholdNIOM, score_occupancy_attack
 from ..defenses.base import DefenseOutcome
+from ..obs import TELEMETRY
 from ..timeseries import BinaryTrace, PowerTrace
 
 # The ensemble follows the literature's convention of assuming residents
@@ -56,8 +57,9 @@ def occupancy_privacy(
     mccs: dict[str, float] = {}
     accs: dict[str, float] = {}
     for name, factory in detectors:
-        result = factory().detect(visible)
-        scores = score_occupancy_attack(result.occupancy, truth)
+        with TELEMETRY.timer(f"stage.attack.{name}"):
+            result = factory().detect(visible)
+            scores = score_occupancy_attack(result.occupancy, truth)
         mccs[name] = scores["mcc"]
         accs[name] = scores["accuracy"]
     return PrivacyScore(per_detector_mcc=mccs, per_detector_accuracy=accs)

@@ -64,7 +64,10 @@ def evaluate_simulation(
     results: dict[str, TradeoffPoint] = {}
     for name in defense_names:
         defense = make_defense(name)
-        with TELEMETRY.timer("stage.defend"):
+        # per component, not per knob setting: ``noise@0.5`` times as ``noise``
+        with TELEMETRY.timer("stage.defend"), TELEMETRY.timer(
+            f"stage.defend.{defense.name}"
+        ):
             outcome = defense.apply(metered, rng)
         with TELEMETRY.timer("stage.attack"):
             results[name] = evaluate_defense_outcome(

@@ -19,6 +19,7 @@ CHPr's free storage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,8 @@ class Battery:
         self.config = config
         self.energy_wh = config.capacity_wh * config.initial_soc
         self.losses_wh = 0.0
+        #: whether any step has charged (see :func:`_losses_kwh`)
+        self.charged = False
 
     @property
     def soc(self) -> float:
@@ -77,7 +80,35 @@ class Battery:
             stored = -power * dt_h * cfg.efficiency
             self.energy_wh += stored
             self.losses_wh += -power * dt_h * (1.0 - cfg.efficiency)
+            self.charged = True
         return power
+
+
+def _losses_kwh(battery: Battery) -> float:
+    """The battery's conversion losses in kWh, typed as they always were.
+
+    The defenses below once stepped the battery with NumPy scalars, which
+    left ``losses_wh`` an ``np.float64`` from the first charging step on
+    (and a ``float`` if the battery never charged).  ``result_digest``
+    hashes pickled types, so the float loops restore that type here rather
+    than flip every digest that includes a battery defense.
+    """
+    losses = np.float64(battery.losses_wh) if battery.charged else battery.losses_wh
+    return losses / 1000.0
+
+
+def _ceil(x: float) -> float:
+    """``np.ceil`` for a finite Python float, signed zero included.
+
+    ``math.ceil(-0.3)`` is ``0``; ``np.ceil(-0.3)`` is ``-0.0``, and the
+    sign reaches the visible trace's bytes through ``demand - level``.
+    """
+    return float(math.ceil(x)) or math.copysign(0.0, x)
+
+
+def _empty_outcome(true_load: PowerTrace) -> DefenseOutcome:
+    """No samples: nothing to hide, nothing to spend."""
+    return DefenseOutcome(visible=true_load.with_values(true_load.values.copy()))
 
 
 class NILLDefense(TraceDefense):
@@ -96,6 +127,8 @@ class NILLDefense(TraceDefense):
         self.window_s = window_s
 
     def apply(self, true_load, rng=None) -> DefenseOutcome:
+        if not len(true_load):
+            return _empty_outcome(true_load)
         battery = Battery(self.battery_config)
         values = true_load.values
         period = true_load.period_s
@@ -103,7 +136,7 @@ class NILLDefense(TraceDefense):
         target = float(values[: max(1, int(self.window_s / period))].mean())
         demand_ema = target
         alpha = min(1.0, period / self.window_s)
-        for i, demand in enumerate(values):
+        for i, demand in enumerate(values.tolist()):
             demand_ema = (1.0 - alpha) * demand_ema + alpha * demand
             # positive request discharges to pull the meter down to target
             requested = demand - target
@@ -119,7 +152,7 @@ class NILLDefense(TraceDefense):
         out = true_load.with_values(visible)
         return DefenseOutcome(
             visible=out,
-            extra_energy_kwh=battery.losses_wh / 1000.0,
+            extra_energy_kwh=_losses_kwh(battery),
             utility_distortion=self._distortion(out, true_load),
         )
 
@@ -146,14 +179,16 @@ class SteppedDefense(TraceDefense):
         self.step_w = step_w
 
     def apply(self, true_load, rng=None) -> DefenseOutcome:
+        if not len(true_load):
+            return _empty_outcome(true_load)
         battery = Battery(self.battery_config)
-        values = true_load.values
+        values = true_load.values.tolist()
         period = true_load.period_s
-        visible = np.empty_like(values)
-        level = float(np.ceil(values[0] / self.step_w)) * self.step_w
+        visible = np.empty(len(values))
+        level = _ceil(values[0] / self.step_w) * self.step_w
         for i, demand in enumerate(values):
             # choose the step level nearest demand that the battery can bridge
-            desired = float(np.ceil(demand / self.step_w)) * self.step_w
+            desired = _ceil(demand / self.step_w) * self.step_w
             if battery.soc < 0.1:
                 desired += self.step_w  # charge up while we can
             elif battery.soc > 0.9:
@@ -168,6 +203,6 @@ class SteppedDefense(TraceDefense):
         out = true_load.with_values(visible)
         return DefenseOutcome(
             visible=out,
-            extra_energy_kwh=battery.losses_wh / 1000.0,
+            extra_energy_kwh=_losses_kwh(battery),
             utility_distortion=self._distortion(out, true_load),
         )

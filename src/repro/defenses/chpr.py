@@ -121,26 +121,38 @@ class CHPrController:
         window_h = cfg.window_s / 3600.0
 
         values = rest_of_home.values
-        hours = rest_of_home.hours_of_day()
+        # Python floats, not NumPy scalars: every comparison and product
+        # below is the same IEEE operation, at a fraction of the cost
+        hours = rest_of_home.hours_of_day().tolist()
+        draws = np.asarray(draws, dtype=float).tolist()
         n = len(values)
         power = np.zeros(n)
         temps = np.zeros(n)
 
+        heater = self.heater
+        element_w = heater.element_power_w
+        must_heat_c = heater.min_delivery_c + cfg.comfort_margin_c
+        preheat_target = min(
+            heater.min_delivery_c + cfg.preheat_buffer_c,
+            heater.setpoint_c - heater.deadband_c,
+        )
+        preheat_hours = cfg.preheat_hours
         plan_power = 0.0  # requested burst level for the current window
         plan_start = 0
         plan_end = 0
         for i in range(n):
+            hour = hours[i]
             if i % samples_per_window == 0:
                 plan_power = 0.0
                 w = values[i : i + samples_per_window]
                 quiet = (
-                    cfg.mask_start_hour <= hours[i] < cfg.mask_end_hour
+                    cfg.mask_start_hour <= hour < cfg.mask_end_hour
                     and w.mean() < cfg.target_mean_w
                     and w.std() < cfg.target_std_w
                 )
                 headroom_kwh = (
-                    (self.heater.setpoint_c - cfg.headroom_margin_c - tank.temp_c)
-                    * self.heater.thermal_mass_j_per_k
+                    (heater.setpoint_c - cfg.headroom_margin_c - tank.temp_c)
+                    * heater.thermal_mass_j_per_k
                     / 3.6e6
                 )
                 if quiet and headroom_kwh > 0.02:
@@ -149,14 +161,14 @@ class CHPrController:
                     # whole masking day: an unpaced controller burns the
                     # budget by mid-morning and leaves every afternoon
                     # window visibly idle
-                    remaining_h = max(1.0, cfg.mask_end_hour - hours[i])
+                    remaining_h = max(1.0, cfg.mask_end_hour - hour)
                     pacing_kwh = headroom_kwh * (window_h / remaining_h) * 2.0
                     target_add_w = self._rng.uniform(*cfg.mask_mean_range_w)
                     energy_kwh = min(
                         target_add_w * window_h / 1000.0, pacing_kwh, headroom_kwh
                     )
                     lo, hi = cfg.burst_power_fraction
-                    level = self.heater.element_power_w * self._rng.uniform(lo, hi)
+                    level = element_w * self._rng.uniform(lo, hi)
                     burst_samples = max(
                         1, int(round(energy_kwh * 3.6e6 / level / period))
                     )
@@ -168,22 +180,19 @@ class CHPrController:
                     plan_start = i + offset
                     plan_end = plan_start + burst_samples
 
-            must_heat = tank.temp_c <= self.heater.min_delivery_c + cfg.comfort_margin_c
-            preheat_target = min(
-                self.heater.min_delivery_c + cfg.preheat_buffer_c,
-                self.heater.setpoint_c - self.heater.deadband_c,
-            )
+            must_heat = tank.temp_c <= must_heat_c
             preheating = (
-                any(lo <= hours[i] < hi for lo, hi in cfg.preheat_hours)
+                preheat_hours
+                and any(lo <= hour < hi for lo, hi in preheat_hours)
                 and tank.temp_c < preheat_target
             )
             if must_heat or preheating:
-                requested = self.heater.element_power_w
+                requested = element_w
             elif plan_start <= i < plan_end:
                 requested = plan_power
             else:
                 requested = 0.0
-            power[i] = tank.step(period, float(draws[i]), requested)
+            power[i] = tank.step(period, draws[i], requested)
             temps[i] = tank.temp_c
         #: per-sample tank temperature of the last run — what the invariant
         #: suite checks against the physical bounds (inlet <= T <= setpoint)

@@ -12,6 +12,7 @@ CHPr controller lives in :mod:`repro.defenses.chpr`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,9 +81,13 @@ class WaterHeaterTank:
         cfg = self.config
         if dt_s <= 0:
             raise ValueError("dt_s must be positive")
-        if draw_liters < 0:
-            raise ValueError("draw_liters cannot be negative")
-        power = float(np.clip(element_power_w, 0.0, cfg.element_power_w))
+        if not draw_liters >= 0:
+            raise ValueError(f"draw_liters must be a number >= 0, got {draw_liters!r}")
+        power = float(element_power_w)
+        if not math.isfinite(power):
+            raise ValueError(f"element_power_w must be finite, got {power!r}")
+        # a plain-float clip: a scalar np.clip costs ~3 us, more than the physics
+        power = min(max(power, 0.0), cfg.element_power_w)
         if not cfg.modulating and 0.0 < power < cfg.element_power_w:
             power = cfg.element_power_w  # relay element: on is full power
 
@@ -189,12 +194,12 @@ def thermostat_power(
     tank = WaterHeaterTank(config, initial_temp_c)
     power = np.zeros(len(draws))
     heating = False
-    for i, draw in enumerate(draws):
+    for i, draw in enumerate(np.asarray(draws, dtype=float).tolist()):
         if tank.temp_c <= config.setpoint_c - config.deadband_c:
             heating = True
         elif tank.temp_c >= config.setpoint_c - 1e-9:
             heating = False
-        power[i] = tank.step(period_s, float(draw), config.element_power_w if heating else 0.0)
+        power[i] = tank.step(period_s, draw, config.element_power_w if heating else 0.0)
     return power, tank
 
 

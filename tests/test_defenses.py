@@ -1,5 +1,7 @@
 """Tests for all Sec. III defenses."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,6 +131,20 @@ class TestBattery:
     def test_visible_never_negative(self, week_home):
         for defense in (NILLDefense(), SteppedDefense()):
             assert defense.apply(week_home.metered).visible.min() >= 0.0
+
+    @pytest.mark.parametrize("defense", [NILLDefense(), SteppedDefense()],
+                             ids=["nill", "stepped"])
+    def test_empty_trace_gives_empty_outcome(self, defense):
+        # stepped used to raise IndexError; NILL warned about an empty mean
+        empty = PowerTrace(np.array([]), 60.0, start_s=120.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcome = defense.apply(empty)
+        assert len(outcome.visible) == 0
+        assert outcome.visible.period_s == 60.0
+        assert outcome.visible.start_s == 120.0
+        assert outcome.extra_energy_kwh == 0.0
+        assert outcome.utility_distortion == 0.0
 
 
 # ---------------------------------------------------------------------------

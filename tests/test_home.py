@@ -191,6 +191,22 @@ class TestWaterHeater:
             tank.step(60.0, 0.2, 0.0)
         assert tank.temp_c < t0
 
+    @pytest.mark.parametrize("draw", [float("nan"), -1.0])
+    def test_tank_rejects_bad_draw(self, draw):
+        # NaN used to pass the ``< 0`` check and count as "no draw"
+        tank = WaterHeaterTank(WaterHeaterConfig())
+        with pytest.raises(ValueError, match="draw_liters"):
+            tank.step(60.0, draw, 0.0)
+
+    @pytest.mark.parametrize("power", [float("nan"), float("inf"), -float("inf")])
+    def test_tank_rejects_non_finite_power(self, power):
+        # NaN power used to poison temp_c for the rest of the run
+        tank = WaterHeaterTank(WaterHeaterConfig())
+        with pytest.raises(ValueError, match="element_power_w"):
+            tank.step(60.0, 0.0, power)
+        assert tank.temp_c == WaterHeaterConfig().setpoint_c
+        assert tank.samples == 0
+
     def test_element_respects_setpoint_ceiling(self):
         cfg = WaterHeaterConfig()
         tank = WaterHeaterTank(cfg, initial_temp_c=cfg.setpoint_c)

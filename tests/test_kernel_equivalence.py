@@ -2,9 +2,9 @@
 
 Every vectorized kernel in the repo ships next to its pre-vectorization
 loop implementation (``repro.ml.kernels``'s ``*_loop`` functions and the
-``_reference`` modules under ``repro.home``, ``repro.timeseries`` and
-``repro.attacks.nilm``).  These tests pin each production kernel to its
-reference:
+``_reference`` modules under ``repro.home``, ``repro.timeseries``,
+``repro.attacks.nilm`` and ``repro.defenses``).  These tests pin each
+production kernel to its reference:
 
 * bitwise-identical where the arithmetic permits (Viterbi paths,
   joint-chain parameters, Gaussian log-densities, simulated appliance
@@ -15,7 +15,11 @@ reference:
 * RNG-stream-identical for the appliance simulators: the vectorized
   generators must consume the seeded generator exactly as the loops did,
   or every seeded trace digest and cached fleet result would silently
-  change.
+  change;
+* bitwise- and RNG-stream-identical for the pure-float defense loops
+  (water-heater thermostat, CHPr controller, NILL and stepped batteries)
+  against their NumPy-scalar originals, down to signed zeros, the final
+  tank state and the pickled type of ``extra_energy_kwh``.
 
 The perf test at the bottom asserts the headline speedup (vectorized HMM
 fit+decode at least 3x the loop baseline) with best-of-N timing;
@@ -24,6 +28,7 @@ fit+decode at least 3x the loop baseline) with best-of-N timing;
 
 from __future__ import annotations
 
+import pickle
 import time
 
 import numpy as np
@@ -31,6 +36,24 @@ import pytest
 
 from repro.attacks.nilm._reference import pair_candidates_loop
 from repro.attacks.nilm.powerplay import LoadKind, _pair_candidates, fig2_signatures
+from repro.defenses import (
+    BatteryConfig,
+    CHPrConfig,
+    CHPrController,
+    CHPrTraceDefense,
+    NILLDefense,
+    SteppedDefense,
+    apply_chpr,
+)
+from repro.defenses import chpr as chpr_module
+from repro.defenses._reference import (
+    ClipTank,
+    chpr_control_loop,
+    nill_apply_loop,
+    stepped_apply_loop,
+    thermostat_power_loop,
+)
+from repro.home import fig6_home, simulate_home
 from repro.home._reference import (
     simulate_continuous_loop,
     simulate_cyclic_loop,
@@ -40,6 +63,11 @@ from repro.home.appliances import (
     ContinuousAppliance,
     CyclicAppliance,
     LightingAppliance,
+)
+from repro.home.waterheater import (
+    WaterHeaterConfig,
+    WaterHeaterTank,
+    thermostat_power,
 )
 from repro.ml import kernels
 from repro.ml._reference import decode_loop, fit_loop, posterior_loop
@@ -299,6 +327,155 @@ class TestTimeseriesEquivalence:
             assert _pair_candidates(edges, used.copy(), signature, target) == (
                 pair_candidates_loop(edges, used.copy(), signature, target)
             )
+
+
+def _defense_trace(seed: int, period_s: float, days: float = 2.0) -> PowerTrace:
+    """A load trace with quiet and busy stretches, negative samples and
+    signed zeros (a net-metered feed can dip below zero)."""
+    rng = np.random.default_rng(seed)
+    n = int(days * 86400 / period_s)
+    vals = np.abs(rng.normal(250.0, 300.0, n))
+    vals += rng.choice([0.0, 1800.0], n, p=[0.9, 0.1])
+    vals[rng.uniform(size=n) < 0.3] *= 0.05  # quiet windows CHPr masks
+    negative = rng.uniform(size=n) < 0.1
+    vals[negative] = -rng.uniform(0.0, 600.0, int(negative.sum()))
+    vals[::29] = -0.0
+    vals[::31] = 0.0
+    return PowerTrace(vals, period_s, start_s=float(rng.integers(0, 86400)))
+
+
+def _tank_state(tank) -> tuple:
+    return tank.temp_c, tank.comfort_violations, tank.samples
+
+
+def _same_outcome(a, b) -> bool:
+    """Pickle-identical outcomes (what ``result_digest`` hashes): bitwise
+    visible traces and identically typed scalar fields."""
+    return pickle.dumps(a) == pickle.dumps(b)
+
+
+PERIODS = [30.0, 60.0, 300.0]
+STRENGTHS = [0.25, 0.5, 1.0]
+
+
+class TestDefenseLoopEquivalence:
+    """Pure-float defense loops vs their NumPy-scalar originals."""
+
+    @pytest.mark.parametrize("period_s", PERIODS)
+    def test_tank_step_bitwise(self, period_s):
+        rng = np.random.default_rng(int(period_s))
+        n = 3000
+        # requests below zero, signed zeros, partial, full and above rating
+        requested = rng.choice(
+            [-500.0, -0.0, 0.0, 1200.0, 4500.0, 9000.0], n
+        ) * rng.uniform(0.5, 1.0, n)
+        draws = rng.exponential(2.0, n) * (rng.uniform(size=n) < 0.2)
+        for modulating in (False, True):
+            config = WaterHeaterConfig(modulating=modulating)
+            fast, slow = WaterHeaterTank(config, 45.0), ClipTank(config, 45.0)
+            for draw, power in zip(draws.tolist(), requested.tolist()):
+                got = fast.step(period_s, draw, power)
+                want = slow.step(period_s, draw, power)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                assert _tank_state(fast) == _tank_state(slow)
+
+    @pytest.mark.parametrize("period_s", PERIODS)
+    def test_thermostat_bitwise(self, period_s):
+        heater = WaterHeaterConfig()
+        for seed in range(3):
+            draws = CHPrTraceDefense()._draws(_defense_trace(seed, period_s))
+            draws += np.random.default_rng(seed).exponential(0.3, len(draws))
+            for initial in (None, 35.0):
+                got, tank = thermostat_power(draws, period_s, heater, initial)
+                want, ref = thermostat_power_loop(draws, period_s, heater, initial)
+                assert got.tobytes() == want.tobytes(), (seed, initial)
+                assert _tank_state(tank) == _tank_state(ref)
+
+    @pytest.mark.parametrize("period_s", PERIODS)
+    @pytest.mark.parametrize("strength", STRENGTHS)
+    def test_chpr_control_bitwise_and_stream_identical(self, period_s, strength):
+        heater = WaterHeaterConfig()
+        configs = [
+            CHPrConfig(mask_mean_range_w=(250.0 * strength, 900.0 * strength)),
+            CHPrConfig(
+                mask_mean_range_w=(250.0 * strength, 900.0 * strength),
+                preheat_hours=((5.0, 6.5), (16.5, 18.0)),
+            ),
+        ]
+        for seed in range(3):
+            load = _defense_trace(seed, period_s)
+            draws = CHPrTraceDefense()._draws(load)
+            for config in configs:
+                fast = CHPrController(heater, config, seed)
+                slow = CHPrController(heater, config, seed)
+                got, tank = fast.control(load, draws)
+                want, ref = chpr_control_loop(slow, load, draws)
+                assert got.tobytes() == want.tobytes(), (seed, config)
+                assert fast.last_temps_c.tobytes() == slow.last_temps_c.tobytes()
+                assert _tank_state(tank) == _tank_state(ref)
+                # the generator must sit at the same stream position
+                assert fast._rng.uniform() == slow._rng.uniform()
+
+    @pytest.mark.parametrize("strength", STRENGTHS)
+    def test_chpr_trace_defense_matches_reference(self, strength, monkeypatch):
+        load = _defense_trace(11, 60.0, days=3.0)
+        for seed in range(2):
+            fast = CHPrTraceDefense(strength=strength)
+            got = fast.apply(load, seed)
+            with monkeypatch.context() as m:
+                m.setattr(CHPrController, "control", chpr_control_loop)
+                m.setattr(chpr_module, "thermostat_power", thermostat_power_loop)
+                slow = CHPrTraceDefense(strength=strength)
+                want = slow.apply(load, seed)
+            assert _same_outcome(got, want), (strength, seed)
+            assert _tank_state(fast.last_tank) == _tank_state(slow.last_tank)
+            assert (
+                fast.last_controller.last_temps_c.tobytes()
+                == slow.last_controller.last_temps_c.tobytes()
+            )
+
+    def test_apply_chpr_fig6_path_matches_reference(self, monkeypatch):
+        sim = simulate_home(fig6_home(), 2, rng=5)
+        for seed in (105, 7):
+            got = apply_chpr(sim, rng=seed)
+            with monkeypatch.context() as m:
+                m.setattr(CHPrController, "control", chpr_control_loop)
+                m.setattr(chpr_module, "thermostat_power", thermostat_power_loop)
+                want = apply_chpr(sim, rng=seed)
+            assert _same_outcome(got, want), seed
+
+    @pytest.mark.parametrize("period_s", PERIODS)
+    def test_battery_defenses_bitwise(self, period_s):
+        batteries = [
+            BatteryConfig(),
+            # small and lossy: the state of charge hits both rails often
+            BatteryConfig(capacity_wh=400.0, max_charge_w=900.0,
+                          max_discharge_w=1200.0, efficiency=0.8,
+                          initial_soc=0.1),
+        ]
+        for seed in range(3):
+            load = _defense_trace(seed, period_s)
+            for battery in batteries:
+                for defense, reference in (
+                    (NILLDefense(battery), nill_apply_loop),
+                    (SteppedDefense(battery), stepped_apply_loop),
+                    (SteppedDefense(battery, step_w=150.0), stepped_apply_loop),
+                ):
+                    got = defense.apply(load)
+                    want = reference(defense, load)
+                    assert _same_outcome(got, want), (defense.name, seed)
+                    assert type(got.extra_energy_kwh) is np.float64
+                    assert got.extra_energy_kwh == want.extra_energy_kwh
+
+    def test_battery_that_never_charges_keeps_float_losses(self):
+        # a flat load sits on NILL's target: the battery never charges, so
+        # the NumPy-scalar loop left ``losses_wh`` a plain float
+        load = PowerTrace(np.full(240, 400.0), 60.0)
+        defense = NILLDefense()
+        got = defense.apply(load)
+        want = nill_apply_loop(defense, load)
+        assert _same_outcome(got, want)
+        assert type(got.extra_energy_kwh) is float
 
 
 def _best_of(f, reps: int = 5) -> float:

@@ -7,7 +7,9 @@ Pins the contracts every perf PR will lean on:
   cleanly (the worker delta protocol);
 * fleet runs with telemetry on and off produce bit-identical
   ``trace_digest``s — observation can never perturb results;
-* per-home stage timers account for (nearly all of) per-job wall-clock;
+* per-home stage timers account for (nearly all of) per-job wall-clock,
+  and the per-component ``stage.defend.<defense>`` /
+  ``stage.attack.<detector>`` timers nest inside their stage timer;
 * cache corruption is counted, not just silently eaten;
 * the profiling-attack evening windows and the local hub's daily energy
   buckets are anchored at the trace's own clock (regressions for the
@@ -228,6 +230,68 @@ class TestFleetTelemetry:
         assert result.telemetry.counters["fleet.backoff_wait_s"] > 0
 
 
+class TestComponentTimers:
+    """``stage.defend.<defense>`` / ``stage.attack.<detector>`` nest in
+    their stage timer and never perturb results."""
+
+    SPEC = FleetSpec(
+        n_homes=2, days=1, seed=7, defenses=("chpr", "nill", "stepped")
+    )
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        off = run_fleet(self.SPEC, workers=1)
+        on = run_fleet(self.SPEC, workers=1, telemetry=True)
+        return off, on
+
+    def test_component_timers_present(self, pair):
+        _, on = pair
+        timers = on.telemetry.timers
+        for name in self.SPEC.defenses:
+            assert timers[f"stage.defend.{name}"].count == self.SPEC.n_homes
+        for name in ("threshold-15m", "threshold-60m", "hmm"):
+            # baseline plus one attack per defense, per home
+            want = self.SPEC.n_homes * (1 + len(self.SPEC.defenses))
+            assert timers[f"stage.attack.{name}"].count == want
+
+    def test_nested_timers_sum_to_at_most_parent(self, pair):
+        _, on = pair
+        for home in on.homes:
+            timers = home.telemetry.timers
+            for parent in ("stage.defend", "stage.attack"):
+                children = [
+                    stat.total_s
+                    for name, stat in timers.items()
+                    if name.startswith(parent + ".")
+                ]
+                assert children
+                assert sum(children) <= timers[parent].total_s + 1e-9
+
+    def test_identical_results_on_and_off(self, pair):
+        from repro.fleet import result_digest
+
+        off, on = pair
+        assert result_digest(on) == result_digest(off)
+
+    def test_summary_line_counts_each_second_once(self):
+        from repro.cli import _stage_breakdown
+
+        line = _stage_breakdown({
+            "stage.block": 9.0,
+            "stage.job": 8.0,
+            "stage.simulate": 1.0,
+            "stage.defend": 2.0,
+            "stage.defend.chpr": 1.5,
+            "stage.defend.nill": 0.25,
+            "stage.attack": 4.0,
+            "stage.attack.hmm": 3.0,
+        })
+        assert line == (
+            "simulate 1.00s, defend 2.00s (chpr 1.50s, nill 0.25s), "
+            "attack 4.00s (hmm 3.00s)"
+        )
+
+
 class TestCacheTelemetry:
     def test_cached_results_carry_no_snapshot(self, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -322,7 +386,11 @@ class TestCLITelemetry:
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "telemetry JSON written to" in out
-        assert "telemetry:" in out
+        summary = next(
+            line for line in out.splitlines() if line.startswith("telemetry:")
+        )
+        assert "defend" in summary and "(dp-laplace " in summary
+        assert "job" not in summary
         doc = json.loads(telemetry_path.read_text())
         assert "stage.job" in doc["totals"]["timers"]
         assert "stage.job" in doc["per_home_stage_s"]

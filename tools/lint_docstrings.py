@@ -18,7 +18,12 @@ Two passes, both pure :mod:`ast`/text — no imports, no third-party deps:
      call sites, resolving module-level string constants) must be
      mentioned there too;
    * every relative intra-repo link in the top-level ``*.md`` files and
-     ``docs/*.md`` must resolve to an existing file.
+     ``docs/*.md`` must resolve to an existing file;
+   * every telemetry name passed as a literal to ``TELEMETRY.timer`` /
+     ``TELEMETRY.count`` under ``src/repro/`` must appear, in backticks, in
+     ``docs/PERFORMANCE.md``.  An f-string name's placeholders match any
+     ``<placeholder>`` there: ``f"stage.defend.{name}"`` is documented by
+     `` `stage.defend.<defense>` ``.
 
 Run from the repository root (CI does)::
 
@@ -137,6 +142,64 @@ def knob_domains() -> list[tuple[str, Path, int]]:
     return sites
 
 
+PERFORMANCE_DOC = ROOT / "docs" / "PERFORMANCE.md"
+_PLACEHOLDER = "<...>"
+
+
+def telemetry_names() -> list[tuple[str, Path, int]]:
+    """(name, file, line) of every literal ``TELEMETRY.timer``/``count`` name.
+
+    An f-string name comes back with each placeholder as ``<...>``; calls
+    whose name is not a literal at all are skipped (nothing to check).
+    """
+    sites: list[tuple[str, Path, int]] = []
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        if "TELEMETRY." not in text:
+            continue
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("timer", "count")
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "TELEMETRY"
+                and node.args
+            ):
+                continue
+            arg = node.args[0]
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                name = arg.value
+            elif isinstance(arg, ast.JoinedStr):
+                name = "".join(
+                    part.value if isinstance(part, ast.Constant) else _PLACEHOLDER
+                    for part in arg.values
+                )
+            else:
+                continue
+            sites.append((name, path, node.lineno))
+    return sites
+
+
+def check_telemetry_documented() -> list[str]:
+    documented = set(re.findall(r"`([^`\n]+)`", PERFORMANCE_DOC.read_text()))
+    problems: list[str] = []
+    seen: set[str] = set()
+    for name, path, line in telemetry_names():
+        if name in seen:
+            continue
+        seen.add(name)
+        pattern = re.compile(
+            "<[^<>]+>".join(re.escape(part) for part in name.split(_PLACEHOLDER))
+        )
+        if not any(pattern.fullmatch(token) for token in documented):
+            problems.append(
+                f"{path}:{line}: telemetry name {name!r} is not documented "
+                f"in {PERFORMANCE_DOC.relative_to(ROOT)}"
+            )
+    return problems
+
+
 def doc_files() -> list[Path]:
     return sorted(ROOT.glob("*.md")) + sorted((ROOT / "docs").glob("*.md"))
 
@@ -191,6 +254,7 @@ def main() -> int:
     for path in files:
         problems.extend(check_file(path))
     problems.extend(check_docs_consistency())
+    problems.extend(check_telemetry_documented())
     if problems:
         print("\n".join(problems))
         print(f"\n{len(problems)} lint problem(s) in {len(files)} files")
@@ -200,6 +264,7 @@ def main() -> int:
         f"docstring lint: {len(files)} public modules clean; "
         f"docs consistency: {len(cli_subcommands())} subcommands, "
         f"{len({d for d, _, _ in knob_domains()})} knob domains, "
+        f"{len({n for n, _, _ in telemetry_names()})} telemetry names, "
         f"{n_docs} doc files clean"
     )
     return 0
