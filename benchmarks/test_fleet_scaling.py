@@ -131,7 +131,7 @@ def test_fleet_scaling(benchmark):
             timings["serial"] = time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            parallel = run_fleet(SPEC, workers=4, chunksize=2)
+            parallel = run_fleet(SPEC, workers=4)
             timings["parallel(4)"] = time.perf_counter() - t0
 
             t0 = time.perf_counter()

@@ -2,7 +2,7 @@
 
 The arms-race acceptance experiment: fan every registered netpriv traffic
 defense over a dial grid (off / mid / full) with
-:class:`repro.fleet.netpriv.NetprivSweepRunner`, score each cell with both
+:func:`repro.fleet.netpriv.run_netpriv_sweep`, score each cell with both
 attacker generations, and demand two things of the result:
 
 * **the arms race is real** — at the mid dial, the adaptive attacker
@@ -70,7 +70,7 @@ def run_benchmarks(workers: int | None = None) -> dict:
     violations = frontier.monotone_violations(MONOTONE_TOLERANCE)
 
     mid_gaps = {
-        p.defense: round(p.adaptive_advantage, 4)
+        p.defense: round(p.metric("adaptive_advantage"), 4)
         for p in frontier.points
         if p.setting == MID_SETTING
     }

@@ -88,9 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    "shared-memory segments), batched (one worker simulates "
                    "a block of homes per vectorized pass); all four are "
                    "bit-identical")
-    p.add_argument("--chunksize", type=int, default=1,
-                   help="kept for compatibility; the supervised engine "
-                   "dispatches per-home so each home fails independently")
     p.add_argument("--mix", default="random",
                    help="comma-separated preset names cycled over the fleet "
                    f"(from: {', '.join(preset_names())})")
@@ -426,7 +423,7 @@ def cmd_knob(args) -> int:
 
 
 def cmd_fleet(args) -> int:
-    from .fleet import FleetReport, FleetSpec, run_fleet
+    from .fleet import FleetReport, FleetRunner, FleetSpec
 
     mix = tuple(name.strip() for name in args.mix.split(",") if name.strip())
     defenses = (
@@ -434,25 +431,28 @@ def cmd_fleet(args) -> int:
         if args.defenses == "all"
         else tuple(d.strip() for d in args.defenses.split(",") if d.strip())
     )
-    spec = FleetSpec(
-        n_homes=args.homes,
-        days=args.days,
-        seed=args.seed,
-        mix=mix,
-        defenses=defenses,
-    )
-    result = run_fleet(
-        spec,
-        workers=args.workers,
-        chunksize=args.chunksize,
-        cache_dir=args.cache_dir,
-        max_retries=args.max_retries,
-        job_timeout=args.job_timeout,
-        fail_fast=args.fail_fast,
-        telemetry=args.telemetry is not None,
-        profile_dir=args.profile,
-        backend=args.backend,
-    )
+    try:
+        spec = FleetSpec(
+            n_homes=args.homes,
+            days=args.days,
+            seed=args.seed,
+            mix=mix,
+            defenses=defenses,
+        )
+        runner = FleetRunner(
+            workers=args.workers,
+            cache_dir=args.cache_dir,
+            max_retries=args.max_retries,
+            job_timeout=args.job_timeout,
+            fail_fast=args.fail_fast,
+            telemetry=args.telemetry is not None,
+            profile_dir=args.profile,
+            backend=args.backend,
+        )
+    except ValueError as exc:
+        print(f"fleet: {exc}", file=sys.stderr)
+        return 2
+    result = runner.run(spec)
 
     def print_failures():
         for failure in result.failures:
@@ -492,14 +492,7 @@ def cmd_fleet(args) -> int:
         report.to_json(args.json)
         print(f"report JSON written to {args.json}")
     if args.telemetry and report.telemetry is not None:
-        import json as json_mod
-        from pathlib import Path
-
-        out = Path(args.telemetry)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(
-            json_mod.dumps(report.telemetry, indent=2, sort_keys=True) + "\n"
-        )
+        _write_json(args.telemetry, report.telemetry)
         breakdown = _stage_breakdown({
             name: stat["total_s"]
             for name, stat in report.telemetry["totals"]["timers"].items()
@@ -543,7 +536,7 @@ def _stage_breakdown(totals: dict[str, float]) -> str:
 
 
 def cmd_sweep(args) -> int:
-    from .fleet import SweepError, SweepGrid, SweepRunner, load_grid, parse_shard
+    from .fleet import SweepError, SweepGrid, load_grid, parse_shard, run_sweep
 
     inline_grid_flags = args.defenses is not None
     try:
@@ -576,17 +569,6 @@ def cmd_sweep(args) -> int:
         print(f"sweep: {exc}", file=sys.stderr)
         return 2
 
-    runner = SweepRunner(
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        max_retries=args.max_retries,
-        job_timeout=args.job_timeout,
-        fail_fast=args.fail_fast,
-        telemetry=args.telemetry is not None,
-        profile_dir=args.profile,
-        backend=args.backend,
-    )
-
     def on_cell(cell_result) -> None:
         fleet = cell_result.fleet
         cached = fleet.n_homes - fleet.executed
@@ -602,59 +584,36 @@ def cmd_sweep(args) -> int:
           f"{len(grid.settings)} setting(s) x {len(grid.seeds)} seed(s) "
           f"over {grid.n_homes} homes x {grid.days} day(s); "
           f"shard {shard[0]}/{shard[1]} runs {n_shard_cells}/{grid.n_cells} cells")
-    result = runner.run(grid, shard, on_cell=on_cell)
-    frontier = result.frontier()
-    print(frontier.format_table())
+    result = run_sweep(
+        grid,
+        shard,
+        workers=args.workers,
+        cache_dir=args.cache_dir,
+        on_cell=on_cell,
+        max_retries=args.max_retries,
+        job_timeout=args.job_timeout,
+        fail_fast=args.fail_fast,
+        telemetry=args.telemetry is not None,
+        profile_dir=args.profile,
+        backend=args.backend,
+    )
     total_jobs = sum(c.fleet.n_homes + c.fleet.n_failed for c in result.cells)
-    print(f"ran {result.executed}/{total_jobs} home jobs "
-          f"({total_jobs - result.executed} cached) in {result.elapsed_s:.2f}s")
+    summary = [f"ran {result.executed}/{total_jobs} home jobs "
+               f"({total_jobs - result.executed} cached) in {result.elapsed_s:.2f}s"]
     if not result.ok:
-        print(f"WARNING: {result.n_failed_homes} home job(s) failed "
-              "(frontier covers survivors only)")
-
-    if args.csv:
-        path = frontier.to_csv(args.csv)
-        print(f"frontier CSV written to {path}")
-    if args.json:
-        frontier.to_json(args.json)
-        print(f"frontier JSON written to {args.json}")
-    if args.telemetry and result.telemetry is not None:
-        import json as json_mod
-        from pathlib import Path
-
-        out = Path(args.telemetry)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(
-            json_mod.dumps(result.telemetry.as_dict(), indent=2, sort_keys=True)
-            + "\n"
-        )
-        breakdown = _stage_breakdown({
-            name: stat.total_s for name, stat in result.telemetry.timers.items()
-        })
-        if breakdown:
-            print(f"telemetry: {breakdown}")
-        print(f"sweep telemetry JSON written to {args.telemetry}")
-    if args.profile:
-        print(f"per-home cProfile dumps written to {args.profile}/")
-
-    violations = frontier.monotone_violations(args.tolerance)
-    if violations:
-        print(f"frontier monotonicity: {len(violations)} violation(s)")
-        for violation in violations:
-            print(f"  {violation}")
-        if args.check_monotone:
-            return 1
-    elif args.check_monotone:
-        print("frontier monotonicity: ok")
-    return 1 if not result.ok else 0
+        summary.append(f"WARNING: {result.n_failed_homes} home job(s) failed "
+                       "(frontier covers survivors only)")
+    return _report_frontier(
+        args, "sweep", result.frontier(), summary, result.telemetry, [], result.ok
+    )
 
 
 def cmd_netpriv(args) -> int:
     from .fleet import (
         NetprivGrid,
-        NetprivSweepRunner,
         SweepError,
         parse_shard,
+        run_netpriv_sweep,
         shard_cells,
     )
 
@@ -676,15 +635,6 @@ def cmd_netpriv(args) -> int:
         print(f"netpriv: {exc}", file=sys.stderr)
         return 2
 
-    runner = NetprivSweepRunner(
-        workers=args.workers,
-        max_retries=args.max_retries,
-        job_timeout=args.job_timeout,
-        fail_fast=args.fail_fast,
-        telemetry=args.telemetry is not None,
-        backend=args.backend,
-    )
-
     def on_result(job_result) -> None:
         outcome = job_result.outcome
         print(f"  {job_result.preset:<30s} "
@@ -697,32 +647,60 @@ def cmd_netpriv(args) -> int:
           f"{len(grid.settings)} setting(s) x {len(grid.seeds)} seed(s) "
           f"over {grid.n_lans} LAN(s) x {grid.days} day(s) [{grid.lan}]; "
           f"shard {shard[0]}/{shard[1]} runs {n_shard_cells}/{grid.n_cells} cells")
-    result = runner.run(grid, shard, on_result=on_result)
-    frontier = result.frontier()
-    print(frontier.format_table())
-    print(f"ran {len(result.results)} LAN job(s) in {result.elapsed_s:.2f}s "
-          f"on {result.workers_used} worker(s)")
+    result = run_netpriv_sweep(
+        grid,
+        args.workers,
+        shard,
+        on_result=on_result,
+        max_retries=args.max_retries,
+        job_timeout=args.job_timeout,
+        fail_fast=args.fail_fast,
+        telemetry=args.telemetry is not None,
+        backend=args.backend,
+    )
+    summary = [f"ran {len(result.results)} LAN job(s) in {result.elapsed_s:.2f}s "
+               f"on {result.workers_used} worker(s)"]
     if not result.ok:
-        print(f"WARNING: {len(result.failures)} LAN job(s) failed "
-              "(frontier covers survivors only)")
+        summary.append(f"WARNING: {len(result.failures)} LAN job(s) failed "
+                       "(frontier covers survivors only)")
+    flows = (
+        [f"{result.telemetry.counters.get('netpriv.flows', 0.0):.0f} flows"]
+        if result.telemetry is not None
+        else []
+    )
+    return _report_frontier(
+        args, "netpriv", result.frontier(), summary, result.telemetry, flows, result.ok
+    )
 
+
+def _report_frontier(
+    args, command: str, frontier, summary: list[str], telemetry,
+    telemetry_parts: list[str], ok: bool,
+) -> int:
+    """The shared tail of ``sweep`` and ``netpriv``: frontier table,
+    run summary, CSV/JSON exports, telemetry JSON, monotone report, and
+    the exit code (1 on failed jobs or, with --check-monotone, on a
+    violation)."""
+    print(frontier.format_table())
+    for line in summary:
+        print(line)
     if args.csv:
         path = frontier.to_csv(args.csv)
         print(f"frontier CSV written to {path}")
     if args.json:
         frontier.to_json(args.json)
         print(f"frontier JSON written to {args.json}")
-    if args.telemetry and result.telemetry is not None:
-        _write_json(args.telemetry, result.telemetry.as_dict())
-        flows = result.telemetry.counters.get("netpriv.flows", 0.0)
+    if args.telemetry and telemetry is not None:
+        _write_json(args.telemetry, telemetry.as_dict())
         breakdown = _stage_breakdown({
-            name: stat.total_s for name, stat in result.telemetry.timers.items()
+            name: stat.total_s for name, stat in telemetry.timers.items()
         })
-        line = f"telemetry: {flows:.0f} flows"
-        if breakdown:
-            line += f", {breakdown}"
-        print(line)
-        print(f"netpriv telemetry JSON written to {args.telemetry}")
+        parts = telemetry_parts + ([breakdown] if breakdown else [])
+        if parts:
+            print(f"telemetry: {', '.join(parts)}")
+        print(f"{command} telemetry JSON written to {args.telemetry}")
+    if getattr(args, "profile", None):
+        print(f"per-home cProfile dumps written to {args.profile}/")
 
     violations = frontier.monotone_violations(args.tolerance)
     if violations:
@@ -733,7 +711,7 @@ def cmd_netpriv(args) -> int:
             return 1
     elif args.check_monotone:
         print("frontier monotonicity: ok")
-    return 1 if not result.ok else 0
+    return 1 if not ok else 0
 
 
 def _write_json(path: str, doc: dict) -> None:

@@ -21,11 +21,18 @@ turns the single-home pipeline into a population instrument:
 - :mod:`repro.fleet.faults` — deterministic fault injection (worker
   errors, crashes, hangs) so the recovery paths above are *tested*, not
   trusted;
-- :class:`SweepGrid` / :class:`SweepRunner` / :func:`run_sweep` — the
-  Sec. III-E knob grid: (defense × knob setting × seed) cells, each one
-  fleet run of a single ``name@setting`` parametrized defense, sharded
-  with ``--shard i/n`` and resumable through the same cache; reduced by
-  :class:`FrontierReport` into privacy-utility frontier points;
+- :class:`Grid` — the (defense × knob setting × seed) knob grid shared
+  by both sweep domains, expanded into one :class:`Cell` per combination
+  in a canonical order that ``--shard i/n`` slices;
+- :class:`SweepGrid` / :func:`run_sweep` — the Sec. III-E energy sweep:
+  each cell one fleet run of a single ``name@setting`` parametrized
+  defense, resumable through the same cache;
+- :class:`NetprivGrid` / :func:`run_netpriv_sweep` — the Sec. IV traffic
+  arms race: each cell ``n_lans`` LAN battles under the same supervisor;
+- :class:`FrontierReport` — either sweep reduced to privacy-utility
+  frontier points under its domain's :class:`FrontierSchema`
+  (:data:`SWEEP_FRONTIER` / :data:`NETPRIV_FRONTIER`), with JSON/CSV/table
+  exports and the running-min monotone gate;
 - telemetry (``telemetry=True`` / ``repro fleet --telemetry``) — per-stage
   counter/timer snapshots from :mod:`repro.obs`, captured inside each
   worker, merged into fleet totals on :class:`FleetResult` and surfaced in
@@ -43,7 +50,6 @@ from .artifacts import (
     ArtifactError,
     ArtifactRow,
     artifact_from_frontier,
-    artifact_from_netpriv,
     artifact_from_stream,
     load_artifact,
 )
@@ -80,16 +86,20 @@ from .engine import (
     trace_digest,
 )
 from .faults import FAULTS_ENV, FaultInjected, FaultPlan
-from .frontier import FrontierPoint, FrontierReport
+from .frontier import (
+    NETPRIV_FRONTIER,
+    SWEEP_FRONTIER,
+    FrontierPoint,
+    FrontierReport,
+    FrontierSchema,
+)
+from .grid import Cell, Grid, SweepError, parse_shard, shard_cells
 from .netpriv import (
     NETPRIV_LAN_CONFIGS,
-    NetprivFrontierPoint,
-    NetprivFrontierReport,
     NetprivGrid,
     NetprivJob,
     NetprivJobResult,
     NetprivSweepResult,
-    NetprivSweepRunner,
     netpriv_lan_config,
     run_netpriv_job,
     run_netpriv_sweep,
@@ -103,15 +113,10 @@ from .report import (
 from .spec import DEFAULT_FLEET_DETECTORS, FleetSpec, HomeJob
 from .sweep import (
     CellResult,
-    SweepCell,
-    SweepError,
     SweepGrid,
     SweepResult,
-    SweepRunner,
     load_grid,
-    parse_shard,
     run_sweep,
-    shard_cells,
 )
 
 __all__ = [
@@ -133,12 +138,12 @@ __all__ = [
     "ArtifactError",
     "ArtifactRow",
     "artifact_from_frontier",
-    "artifact_from_netpriv",
     "artifact_from_stream",
     "load_artifact",
     "BASELINE",
     "CACHE_FORMAT_VERSION",
     "CacheStats",
+    "Cell",
     "CellResult",
     "DEFAULT_FLEET_DETECTORS",
     "DefenseDistribution",
@@ -152,30 +157,29 @@ __all__ = [
     "FleetSpec",
     "FrontierPoint",
     "FrontierReport",
+    "FrontierSchema",
+    "Grid",
     "HomeFailure",
     "HomeJob",
     "HomeResult",
     "HomeStreamResult",
     "JobsResult",
+    "NETPRIV_FRONTIER",
     "NETPRIV_LAN_CONFIGS",
-    "NetprivFrontierPoint",
-    "NetprivFrontierReport",
     "NetprivGrid",
     "NetprivJob",
     "NetprivJobResult",
     "NetprivSweepResult",
-    "NetprivSweepRunner",
     "netpriv_lan_config",
     "run_netpriv_job",
     "run_netpriv_sweep",
     "PopulationStats",
     "ResultCache",
     "StreamFleetResult",
-    "SweepCell",
+    "SWEEP_FRONTIER",
     "SweepError",
     "SweepGrid",
     "SweepResult",
-    "SweepRunner",
     "job_cache_key",
     "load_grid",
     "parse_shard",

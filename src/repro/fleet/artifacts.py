@@ -13,8 +13,7 @@ to floats (``"mcc.mean"``, ``"adaptive_mcc.p90"``,
 foreign or truncated file raises :class:`ArtifactError` instead of
 evaluating to an empty artifact that would let every claim silently
 pass.  In-memory reports take the direct constructors
-(:func:`artifact_from_frontier`, :func:`artifact_from_netpriv`,
-:func:`artifact_from_stream`).
+(:func:`artifact_from_frontier`, :func:`artifact_from_stream`).
 """
 
 from __future__ import annotations
@@ -26,10 +25,15 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.core.knob import knob_defense_name
+from repro.fleet.frontier import (
+    SWEEP_FRONTIER,
+    FrontierReport,
+    FrontierSchema,
+    derived_metrics,
+    schema_for,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.fleet.frontier import FrontierReport
-    from repro.fleet.netpriv import NetprivFrontierReport
     from repro.stream.session import StreamReport
 
 
@@ -39,16 +43,6 @@ class ArtifactError(ValueError):
 
 #: Recognised artifact kinds, in sniffing order.
 ARTIFACT_KINDS = ("sweep-frontier", "netpriv-frontier", "stream")
-
-_SWEEP_AXES = ("mcc", "distortion_w", "bill_error", "extra_kwh")
-_NETPRIV_AXES = (
-    "naive_mcc",
-    "adaptive_mcc",
-    "naive_fingerprint_acc",
-    "adaptive_fingerprint_acc",
-    "cover_mb_per_day",
-    "mean_added_delay_s",
-)
 
 
 @dataclass(frozen=True)
@@ -127,23 +121,24 @@ def _cell_label(defense: str, setting: float, seed: int) -> str:
 
 
 def _stats_metrics(
-    row: dict, axes: tuple[str, ...], where: str
+    row: dict, schema: FrontierSchema, where: str
 ) -> dict[str, float]:
     metrics: dict[str, float] = {}
-    for axis in axes:
+    for axis in schema.axes:
         stats = row.get(axis)
         if not isinstance(stats, dict) or not stats:
             raise ArtifactError(f"{where}: missing population stats {axis!r}")
         for stat, value in stats.items():
             metrics[f"{axis}.{stat}"] = _as_float(value, f"{where}.{axis}")
-    for extra in ("n_homes", "n_lans", "n_failed"):
+    for extra in (schema.count_key, "n_failed"):
         if extra in row:
             metrics[extra] = _as_float(value=row[extra], where=where)
+    metrics.update(derived_metrics(schema, metrics))
     return metrics
 
 
 def _frontier_rows(
-    doc: dict, axes: tuple[str, ...], source: str
+    doc: dict, schema: FrontierSchema, source: str
 ) -> tuple[ArtifactRow, ...]:
     points = doc.get("points")
     if not isinstance(points, list) or not points:
@@ -161,11 +156,7 @@ def _frontier_rows(
                 f"{source}: point {i} lacks defense/setting/seed ({exc})"
             ) from exc
         where = f"{source}: point {i}"
-        metrics = _stats_metrics(row, axes, where)
-        if axes is _NETPRIV_AXES:
-            metrics["adaptive_advantage"] = (
-                metrics["adaptive_mcc.mean"] - metrics["naive_mcc.mean"]
-            )
+        metrics = _stats_metrics(row, schema, where)
         rows.append(
             ArtifactRow(
                 label=_cell_label(defense, setting, seed),
@@ -198,7 +189,8 @@ def artifact_from_dict(doc: object, source: str = "<memory>") -> Artifact:
     """Sniff a decoded JSON document into an :class:`Artifact`.
 
     Sweep and netpriv frontiers share the ``{"points": [...]}`` shell
-    and are told apart by their population-stat axes; a stream report
+    and are told apart by their population-stat axes
+    (:data:`~repro.fleet.frontier.FRONTIER_SCHEMAS`); a stream report
     is recognised by its ``results`` + ``throughput`` + ``total_samples``
     trio.  Anything else is foreign evidence and raises
     :class:`ArtifactError`.
@@ -209,22 +201,15 @@ def artifact_from_dict(doc: object, source: str = "<memory>") -> Artifact:
     if isinstance(points, list):
         if not points or not isinstance(points[0], dict):
             raise ArtifactError(f"{source}: frontier holds no points")
-        head = points[0]
-        if all(axis in head for axis in _NETPRIV_AXES):
-            return Artifact(
-                kind="netpriv-frontier",
-                source=source,
-                rows=_frontier_rows(doc, _NETPRIV_AXES, source),
+        schema = schema_for(points[0])
+        if schema is None:
+            raise ArtifactError(
+                f"{source}: points carry neither the sweep axes "
+                f"{tuple(SWEEP_FRONTIER.axes)} nor the netpriv axes — "
+                "foreign frontier?"
             )
-        if all(axis in head for axis in _SWEEP_AXES):
-            return Artifact(
-                kind="sweep-frontier",
-                source=source,
-                rows=_frontier_rows(doc, _SWEEP_AXES, source),
-            )
-        raise ArtifactError(
-            f"{source}: points carry neither the sweep axes "
-            f"{_SWEEP_AXES} nor the netpriv axes — foreign frontier?"
+        return Artifact(
+            kind=schema.kind, source=source, rows=_frontier_rows(doc, schema, source)
         )
     if all(key in doc for key in ("results", "throughput", "total_samples")):
         return Artifact(kind="stream", source=source, rows=_stream_rows(doc, source))
@@ -256,16 +241,10 @@ def load_artifact(path: str | Path) -> Artifact:
 
 
 def artifact_from_frontier(
-    report: "FrontierReport", source: str = "<FrontierReport>"
+    report: FrontierReport, source: str = "<FrontierReport>"
 ) -> Artifact:
-    """Wrap an in-memory sweep :class:`~repro.fleet.frontier.FrontierReport`."""
-    return artifact_from_dict(report.as_dict(), source=source)
-
-
-def artifact_from_netpriv(
-    report: "NetprivFrontierReport", source: str = "<NetprivFrontierReport>"
-) -> Artifact:
-    """Wrap an in-memory :class:`~repro.fleet.netpriv.NetprivFrontierReport`."""
+    """Wrap an in-memory :class:`~repro.fleet.frontier.FrontierReport`
+    of either domain."""
     return artifact_from_dict(report.as_dict(), source=source)
 
 
@@ -283,7 +262,6 @@ __all__ = [
     "ArtifactRow",
     "artifact_from_dict",
     "artifact_from_frontier",
-    "artifact_from_netpriv",
     "artifact_from_stream",
     "load_artifact",
 ]

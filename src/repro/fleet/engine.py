@@ -459,10 +459,10 @@ class JobsResult:
 
     ``results`` holds whatever the work function returned, ordered by job
     order (permanently failed jobs simply absent — they appear in
-    ``failures`` instead).  The energy fleet's :class:`FleetResult` and
-    :class:`StreamFleetResult` predate this type; new job families (e.g.
-    :mod:`repro.fleet.netpriv`) should build on this instead of cloning
-    the supervisor plumbing.
+    ``failures`` instead).  Every ``FleetRunner.run*`` method collects
+    into one of these; :meth:`FleetRunner.run` and
+    :meth:`FleetRunner.run_streaming` then wrap it in their richer
+    :class:`FleetResult` / :class:`StreamFleetResult`.
     """
 
     results: list
@@ -500,10 +500,6 @@ class FleetRunner:
         Process count; ``<= 1`` runs in-process serially (no pool, no
         pickling, and — since the job shares our process — no crash or
         hang protection, only retries).
-    chunksize:
-        Accepted for API compatibility with the chunked dispatcher this
-        engine replaced.  Supervised dispatch submits per-job so each
-        home fails independently; batching jobs would couple their fates.
     cache_dir:
         Directory for the content-addressed result cache; ``None``
         disables caching.  Results stream into the cache as they
@@ -571,7 +567,6 @@ class FleetRunner:
     def __init__(
         self,
         workers: int = 1,
-        chunksize: int = 1,
         cache_dir: str | Path | None = None,
         *,
         max_retries: int = 2,
@@ -586,8 +581,6 @@ class FleetRunner:
         keep_traces: bool = False,
         batch_size: int | None = None,
     ) -> None:
-        if chunksize < 1:
-            raise ValueError("chunksize must be >= 1")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if job_timeout is not None and job_timeout <= 0:
@@ -600,7 +593,6 @@ class FleetRunner:
         self.keep_traces = bool(keep_traces)
         self.batch_size = batch_size
         self.workers = max(1, int(workers))
-        self.chunksize = int(chunksize)
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.max_retries = int(max_retries)
         self.job_timeout = job_timeout
@@ -613,7 +605,6 @@ class FleetRunner:
 
     def run(self, spec: FleetSpec) -> FleetResult:
         """Evaluate the whole fleet; per-home results plus failure report."""
-        start = time.perf_counter()
         unknown = set(spec.detectors) - set(FLEET_DETECTORS)
         if unknown:
             raise ValueError(
@@ -621,13 +612,12 @@ class FleetRunner:
                 f"available: {sorted(FLEET_DETECTORS)}"
             )
         backend = resolve_backend(spec.backend or self.backend)
-        with self._telemetry_scope() as baseline:
+        block_snaps: list[TelemetrySnapshot] = []
+
+        def dispatch(jobs: list[HomeJob], record: Callable[[HomeResult], None]):
             TELEMETRY.count(f"fleet.backend.{backend}")
-            jobs = spec.jobs()
-            results: dict[int, HomeResult] = {}
             pending: list[HomeJob] = []
             keys: dict[int, str] = {}
-
             for job in jobs:
                 if self.cache is None:
                     pending.append(job)
@@ -636,7 +626,7 @@ class FleetRunner:
                 keys[job.index] = key
                 hit = self.cache.get(key)
                 if hit is not None:
-                    results[job.index] = replace(hit, from_cache=True)
+                    record(replace(hit, from_cache=True))
                 else:
                     pending.append(job)
 
@@ -660,7 +650,7 @@ class FleetRunner:
             def store(result: HomeResult) -> None:
                 # streaming sink: cache immediately so a killed run resumes
                 result = self._receive(result)
-                results[result.index] = result
+                record(result)
                 if self.cache is not None:
                     # strip telemetry and the trace channel so entry bytes
                     # depend on neither observation nor backend
@@ -671,35 +661,25 @@ class FleetRunner:
                         ),
                     )
 
-            failures: list[HomeFailure] = []
-            workers_used = 1
-            rebuilds = 0
-            block_snaps: list[TelemetrySnapshot] = []
+            if not pending:
+                return [], 1, 0
             try:
-                if pending and backend == "batched":
-                    blocks = partition_blocks(
-                        pending, self._block_size(len(pending))
-                    )
+                if backend != "batched":
+                    return self._execute(pending, store, backend=backend)
+                blocks = partition_blocks(pending, self._block_size(len(pending)))
 
-                    def store_block(block_result) -> None:
-                        if block_result.telemetry is not None:
-                            block_snaps.append(block_result.telemetry)
-                        for result in block_result.results:
-                            store(result)
+                def store_block(block_result) -> None:
+                    if block_result.telemetry is not None:
+                        block_snaps.append(block_result.telemetry)
+                    for result in block_result.results:
+                        store(result)
 
-                    failures, workers_used, rebuilds = self._execute(
-                        blocks,
-                        store_block,
-                        work=run_home_block,
-                        backend=backend,
-                    )
-                    failures = _expand_block_failures(failures, blocks)
-                elif pending:
-                    failures, workers_used, rebuilds = self._execute(
-                        pending, store, backend=backend
-                    )
+                failures, workers_used, rebuilds = self._execute(
+                    blocks, store_block, work=run_home_block, backend=backend
+                )
+                return _expand_block_failures(failures, blocks), workers_used, rebuilds
             finally:
-                if backend == "shmem" and pending:
+                if backend == "shmem":
                     # teardown sweep: segment names are deterministic, so
                     # every segment a crashed/hung/killed attempt might
                     # have left behind can be reclaimed by construction
@@ -711,20 +691,18 @@ class FleetRunner:
                     if leaked:
                         TELEMETRY.count("shmem.leaked_segments", leaked)
 
-            ordered = [
-                results[job.index] for job in jobs if job.index in results
-            ]
-            telemetry = self._collect_telemetry(baseline, ordered, block_snaps)
+        batch = self._supervise(spec.jobs, dispatch, block_snaps)
         return FleetResult(
             spec=spec,
-            homes=ordered,
-            elapsed_s=time.perf_counter() - start,
-            workers_used=workers_used,
-            executed=len(pending),
+            homes=batch.results,
+            elapsed_s=batch.elapsed_s,
+            workers_used=batch.workers_used,
+            # every cache hit lands in the results; the rest were executed
+            executed=spec.n_homes - sum(home.from_cache for home in batch.results),
             cache_stats=self.cache.stats if self.cache is not None else None,
-            failures=tuple(sorted(failures, key=lambda f: f.index)),
-            pool_rebuilds=rebuilds,
-            telemetry=telemetry,
+            failures=batch.failures,
+            pool_rebuilds=batch.pool_rebuilds,
+            telemetry=batch.telemetry,
         )
 
     def run_streaming(
@@ -761,49 +739,32 @@ class FleetRunner:
                 f"unknown stream attacks: {sorted(unknown)}; "
                 f"available: {stream_attack_names()}"
             )
-        backend = resolve_backend(spec.backend or self.backend)
-        if backend == "batched":
-            raise ValueError(
-                "the batched backend only applies to batch fleets "
-                "(FleetRunner.run); streamed sessions are stateful per "
-                "home and cannot be vectorized across homes"
-            )
-        start = time.perf_counter()
-        with self._telemetry_scope() as baseline:
-            jobs = spec.jobs()
-            results: dict[int, HomeStreamResult] = {}
-            work = functools.partial(
-                run_stream_job,
-                chunk_samples=chunk_samples,
-                attacks=tuple(attacks),
-                attack_kwargs=attack_kwargs,
-                guard_policy=guard_policy,
-            )
+        backend = self._per_job_backend(spec.backend)
+        work = functools.partial(
+            run_stream_job,
+            chunk_samples=chunk_samples,
+            attacks=tuple(attacks),
+            attack_kwargs=attack_kwargs,
+            guard_policy=guard_policy,
+        )
 
-            def store(result: HomeStreamResult) -> None:
-                results[result.index] = result
-
-            failures: list[HomeFailure] = []
-            workers_used = 1
-            rebuilds = 0
-            if jobs:
-                failures, workers_used, rebuilds = self._execute(
-                    jobs, store, work=work, backend=backend
-                )
+        def dispatch(jobs: list[HomeJob], record: Callable[[HomeStreamResult], None]):
+            failures, workers_used, rebuilds = self._execute(
+                jobs, record, work=work, backend=backend
+            )
             for _ in failures:
                 TELEMETRY.count("fleet.stream_failure")
-            ordered = [
-                results[job.index] for job in jobs if job.index in results
-            ]
-            telemetry = self._collect_telemetry(baseline, ordered)
+            return failures, workers_used, rebuilds
+
+        batch = self._supervise(spec.jobs, dispatch)
         return StreamFleetResult(
             spec=spec,
-            homes=ordered,
-            elapsed_s=time.perf_counter() - start,
-            workers_used=workers_used,
-            failures=tuple(sorted(failures, key=lambda f: f.index)),
-            pool_rebuilds=rebuilds,
-            telemetry=telemetry,
+            homes=batch.results,
+            elapsed_s=batch.elapsed_s,
+            workers_used=batch.workers_used,
+            failures=batch.failures,
+            pool_rebuilds=batch.pool_rebuilds,
+            telemetry=batch.telemetry,
         )
 
     def run_jobs(
@@ -826,32 +787,59 @@ class FleetRunner:
         result cache.  ``on_result`` (optional) fires as each job
         completes — a progress hook, called in completion order.
         """
-        if self.backend == "batched":
-            raise ValueError(
-                "the batched backend only applies to batch fleets "
-                "(FleetRunner.run); generic jobs have no block work "
-                "function"
-            )
-        start = time.perf_counter()
-        with self._telemetry_scope() as baseline:
-            results: dict[int, object] = {}
+        backend = self._per_job_backend(None)
 
+        def dispatch(jobs: list, record: Callable[[object], None]):
             def store(result) -> None:
-                results[result.index] = result
+                record(result)
                 if on_result is not None:
                     on_result(result)
 
-            failures: list[HomeFailure] = []
-            workers_used = 1
-            rebuilds = 0
-            if jobs:
-                failures, workers_used, rebuilds = self._execute(
-                    jobs, store, work=work, backend=self.backend
-                )
-            ordered = [
-                results[job.index] for job in jobs if job.index in results
-            ]
-            telemetry = self._collect_telemetry(baseline, ordered)
+            return self._execute(jobs, store, work=work, backend=backend)
+
+        return self._supervise(lambda: jobs, dispatch)
+
+    # ------------------------------------------------------------------
+    # Supervision
+    # ------------------------------------------------------------------
+    def _per_job_backend(self, override: str | None) -> str:
+        """The backend for a per-job work function: anything but batched,
+        whose block work function only exists for batch energy fleets."""
+        backend = resolve_backend(override or self.backend)
+        if backend == "batched":
+            raise ValueError(
+                "the batched backend only applies to batch energy fleets "
+                "(FleetRunner.run); streamed sessions and generic jobs "
+                "have no block work function"
+            )
+        return backend
+
+    def _supervise(
+        self,
+        make_jobs: Callable[[], list],
+        dispatch: Callable[[list, Callable], tuple[list[HomeFailure], int, int]],
+        extra: list[TelemetrySnapshot] | tuple = (),
+    ) -> JobsResult:
+        """The one supervise-and-collect path behind every ``run*``.
+
+        Inside the telemetry scope (job construction is observed too),
+        ``dispatch(jobs, record)`` executes the work, passing every result
+        (executed or replayed) to ``record`` and returning ``(failures,
+        workers_used, pool_rebuilds)``.  Results come back in job order;
+        ``extra`` snapshots (filled by ``dispatch``) join the merged
+        telemetry.
+        """
+        start = time.perf_counter()
+        results: dict[int, object] = {}
+
+        def record(result) -> None:
+            results[result.index] = result
+
+        with self._telemetry_scope() as baseline:
+            jobs = make_jobs()
+            failures, workers_used, rebuilds = dispatch(jobs, record)
+            ordered = [results[job.index] for job in jobs if job.index in results]
+            telemetry = self._collect_telemetry(baseline, ordered, extra)
         return JobsResult(
             results=ordered,
             elapsed_s=time.perf_counter() - start,
@@ -1354,15 +1342,14 @@ def _expand_block_failures(
 def run_fleet(
     spec: FleetSpec,
     workers: int = 1,
-    chunksize: int = 1,
     cache_dir: str | Path | None = None,
     **supervisor: object,
 ) -> FleetResult:
     """One-call convenience: ``FleetRunner(...).run(spec)``.
 
-    Keyword arguments beyond the first three (``max_retries``,
+    Keyword arguments beyond the first two (``max_retries``,
     ``job_timeout``, ``fail_fast``, ``retry_backoff_s``, ``faults``,
     ``telemetry``, ``profile_dir``, ``backend``, ``keep_traces``,
     ``batch_size``) are forwarded to :class:`FleetRunner`.
     """
-    return FleetRunner(workers, chunksize, cache_dir, **supervisor).run(spec)
+    return FleetRunner(workers, cache_dir, **supervisor).run(spec)

@@ -137,10 +137,39 @@ class FleetSpec:
                 f"unknown detectors: {sorted(unknown)}; "
                 f"available: {sorted(FLEET_DETECTORS)}"
             )
+        if self.defenses is not None:
+            self._validate_defenses()
         if self.backend is not None:
             from .backends import resolve_backend
 
             resolve_backend(self.backend)
+
+    def _validate_defenses(self) -> None:
+        """Plain names against the defense registry, ``name@setting``
+        against the energy knob mappings — before any job is dispatched."""
+        from ..core.knob import knob_mapping_names, parse_knob_name
+        from ..core.registry import RegistryError, defense_names
+
+        unknown = {
+            d for d in self.defenses if "@" not in d and d not in defense_names()
+        }
+        if unknown:
+            raise ValueError(
+                f"unknown defenses: {sorted(unknown)}; "
+                f"available: {defense_names()}"
+            )
+        for name in self.defenses:
+            if "@" not in name:
+                continue
+            try:
+                base, _ = parse_knob_name(name)
+            except RegistryError as exc:
+                raise ValueError(exc.args[0]) from None
+            if base not in knob_mapping_names():
+                raise ValueError(
+                    f"no knob mapping for {base!r} in {name!r}; "
+                    f"available: {knob_mapping_names()}"
+                )
 
     def resolved_defenses(self) -> tuple[str, ...]:
         if self.defenses is not None:

@@ -3,10 +3,11 @@
 :func:`~repro.core.knob.sweep_knob` dials one home along one axis; the
 paper's knob story is population-scale — how does the frontier look over
 a service territory, per mechanism, per dial position?  A
-:class:`SweepGrid` declares that grid — (defense × knob setting × fleet
-seed) over a fixed home population — and :class:`SweepRunner` executes
-it as a sequence of :class:`~repro.fleet.spec.FleetSpec` runs on the
-existing fault-tolerant :class:`~repro.fleet.engine.FleetRunner`.
+:class:`SweepGrid` declares that grid — a :class:`~repro.fleet.grid.Grid`
+(defense × knob setting × fleet seed) over a fixed home population — and
+:func:`run_sweep` executes it as a sequence of
+:class:`~repro.fleet.spec.FleetSpec` runs on one fault-tolerant
+:class:`~repro.fleet.engine.FleetRunner`.
 
 Design choices that make the grid cheap and resumable:
 
@@ -18,11 +19,7 @@ Design choices that make the grid cheap and resumable:
   fleet cache at per-(home, cell) granularity with zero cache-format
   changes.  A killed sweep, rerun over the same ``cache_dir``, replays
   finished homes from disk and executes only the remainder.
-* **Shards are a pure function of the cell list.**  ``--shard i/n``
-  takes cells ``i-1::n`` of the deterministic cell ordering
-  (:meth:`SweepGrid.cells`), so *n* machines sharing nothing but the
-  grid file partition the work exactly, and any shard can be re-run
-  alone.
+* **Shards** slice the canonical cell order (:mod:`repro.fleet.grid`).
 * **Telemetry is merged per cell, then across the sweep** via
   :func:`repro.obs.merge_snapshots`; each
   :class:`CellResult` keeps its own snapshot so a cell's cost stays
@@ -35,54 +32,28 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
-from ..core.knob import knob_defense_name, knob_mapping_names
 from ..obs import TelemetrySnapshot, merge_snapshots
 from .backends import DEFAULT_BACKEND
 from .engine import FleetResult, FleetRunner
-from .frontier import FrontierReport
+from .frontier import SWEEP_FRONTIER, FrontierReport
+from .grid import Cell, Grid, SweepError, shard_cells
 from .spec import DEFAULT_FLEET_DETECTORS, FleetSpec
 
 
-class SweepError(ValueError):
-    """A malformed grid, shard, or grid file."""
+@dataclass(frozen=True, kw_only=True)
+class SweepGrid(Grid):
+    """The energy sweep: a knob grid over one fleet population shape.
 
-
-@dataclass(frozen=True)
-class SweepCell:
-    """One point of the grid: a dialed defense over one seeded fleet."""
-
-    defense: str
-    setting: float
-    seed: int
-
-    @property
-    def knob_name(self) -> str:
-        """The ``name@setting`` string the fleet (and its cache) sees."""
-        return knob_defense_name(self.defense, self.setting)
-
-    def label(self) -> str:
-        return f"{self.knob_name} seed={self.seed}"
-
-
-@dataclass(frozen=True)
-class SweepGrid:
-    """The declarative sweep: which dials, which positions, which fleet.
-
-    Every combination of ``defenses`` × ``settings`` × ``seeds`` becomes
-    one :class:`SweepCell`; all cells share the same home population
-    shape (``n_homes``, ``days``, ``mix``, ``detectors``).  Within one
-    ``seed`` the *homes* are identical across cells (fleet seeding is a
-    pure function of the fleet seed), so cells differ only by the dialed
-    defense — which is exactly what a frontier comparison needs.
+    Every cell shares the same home population shape (``n_homes``,
+    ``days``, ``mix``, ``detectors``).  Within one ``seed`` the *homes*
+    are identical across cells (fleet seeding is a pure function of the
+    fleet seed), so cells differ only by the dialed defense — which is
+    exactly what a frontier comparison needs.
     """
 
-    defenses: tuple[str, ...]
-    settings: tuple[float, ...]
     n_homes: int = 20
     days: int = 1
-    seeds: tuple[int, ...] = (0,)
     mix: tuple[str, ...] = ("random",)
     detectors: tuple[str, ...] = DEFAULT_FLEET_DETECTORS
     #: executor backend for every cell's fleet run (``None`` defers to
@@ -90,49 +61,12 @@ class SweepGrid:
     backend: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.defenses:
-            raise SweepError("grid needs at least one defense")
-        if not self.settings:
-            raise SweepError("grid needs at least one knob setting")
-        if not self.seeds:
-            raise SweepError("grid needs at least one seed")
-        unknown = set(self.defenses) - set(knob_mapping_names())
-        if unknown:
-            raise SweepError(
-                f"no knob mapping for: {sorted(unknown)}; "
-                f"available: {knob_mapping_names()}"
-            )
-        for s in self.settings:
-            if not 0.0 <= s <= 1.0:
-                raise SweepError(f"knob setting {s!r} outside [0, 1]")
-        if len(set(self.settings)) != len(self.settings):
-            raise SweepError("duplicate knob settings in grid")
-        if len(set(self.defenses)) != len(self.defenses):
-            raise SweepError("duplicate defenses in grid")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise SweepError("duplicate seeds in grid")
+        super().__post_init__()
         # population-shape validation is delegated to FleetSpec, once,
         # here — not per cell deep inside a shard on another machine
-        self.cell_spec(SweepCell(self.defenses[0], self.settings[0], self.seeds[0]))
+        self.cell_spec(Cell(self.defenses[0], self.settings[0], self.seeds[0]))
 
-    @property
-    def n_cells(self) -> int:
-        return len(self.defenses) * len(self.settings) * len(self.seeds)
-
-    def cells(self) -> list[SweepCell]:
-        """All cells in the canonical (defense, setting, seed) order.
-
-        The order is part of the sweep's contract: shards slice it, so
-        it must be identical on every machine given the same grid.
-        """
-        return [
-            SweepCell(defense=d, setting=float(s), seed=int(seed))
-            for d in self.defenses
-            for s in sorted(self.settings)
-            for seed in self.seeds
-        ]
-
-    def cell_spec(self, cell: SweepCell) -> FleetSpec:
+    def cell_spec(self, cell: Cell) -> FleetSpec:
         """The fleet run computing one cell."""
         return FleetSpec(
             n_homes=self.n_homes,
@@ -144,22 +78,29 @@ class SweepGrid:
             backend=self.backend,
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "defenses": list(self.defenses),
-            "settings": list(self.settings),
-            "n_homes": self.n_homes,
-            "days": self.days,
-            "seeds": list(self.seeds),
-            "mix": list(self.mix),
-            "detectors": list(self.detectors),
-            "backend": self.backend,
-        }
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_real(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_str(value: object) -> bool:
+    return isinstance(value, str)
+
+
+#: grid-file key -> (element check, what it must be, holds a list)
 _GRID_KEYS = {
-    "defenses", "settings", "n_homes", "days", "seeds", "mix", "detectors",
-    "backend",
+    "defenses": (_is_str, "a string", True),
+    "settings": (_is_real, "a real number", True),
+    "seeds": (_is_int, "an integer", True),
+    "mix": (_is_str, "a string", True),
+    "detectors": (_is_str, "a string", True),
+    "n_homes": (_is_int, "an integer", False),
+    "days": (_is_int, "an integer", False),
+    "backend": (_is_str, "a string", False),
 }
 
 
@@ -168,7 +109,9 @@ def load_grid(path: str | Path) -> SweepGrid:
 
     The file holds exactly the :meth:`SweepGrid.as_dict` keys (all
     optional except ``defenses`` and ``settings``); extension picks the
-    parser.  TOML needs no dependency — :mod:`tomllib` ships with the
+    parser.  Values are type-checked, never coerced: list keys need
+    lists, integer keys need integers (not bools), settings need real
+    numbers.  TOML needs no dependency — :mod:`tomllib` ships with the
     interpreter.
     """
     path = Path(path)
@@ -194,7 +137,7 @@ def load_grid(path: str | Path) -> SweepGrid:
         )
     if not isinstance(doc, dict):
         raise SweepError(f"grid file {path} must hold a table/object")
-    unknown = set(doc) - _GRID_KEYS
+    unknown = set(doc) - set(_GRID_KEYS)
     if unknown:
         raise SweepError(
             f"unknown grid keys in {path}: {sorted(unknown)}; "
@@ -205,60 +148,33 @@ def load_grid(path: str | Path) -> SweepGrid:
         raise SweepError(f"grid file {path} missing keys: {sorted(missing)}")
     kwargs: dict = {}
     for key, value in doc.items():
-        if key in ("n_homes", "days"):
-            kwargs[key] = int(value)
-        elif key == "backend":
-            kwargs[key] = str(value) if value is not None else None
-        elif key == "settings":
-            kwargs[key] = tuple(float(v) for v in value)
-        elif key == "seeds":
-            kwargs[key] = tuple(int(v) for v in value)
-        else:
-            kwargs[key] = tuple(str(v) for v in value)
+        check, want, is_list = _GRID_KEYS[key]
+        if key == "backend" and value is None:
+            kwargs[key] = None
+            continue
+        if is_list and not isinstance(value, list):
+            raise SweepError(
+                f"grid key {key!r} in {path} must be a list, got {value!r}"
+            )
+        for item in value if is_list else [value]:
+            if not check(item):
+                raise SweepError(
+                    f"grid key {key!r} in {path}: {item!r} is not {want}"
+                )
+        if key == "settings":
+            value = [float(v) for v in value]
+        kwargs[key] = tuple(value) if is_list else value
     try:
         return SweepGrid(**kwargs)
     except (TypeError, ValueError) as exc:
         raise SweepError(f"bad grid in {path}: {exc}") from exc
 
 
-def parse_shard(text: str) -> tuple[int, int]:
-    """Parse and validate a ``--shard i/n`` argument."""
-    head, sep, tail = text.partition("/")
-    if not sep:
-        raise SweepError(f"shard must look like i/n, got {text!r}")
-    try:
-        index, total = int(head), int(tail)
-    except ValueError:
-        raise SweepError(f"shard must be two integers i/n, got {text!r}") from None
-    if total < 1 or not 1 <= index <= total:
-        raise SweepError(
-            f"shard index must satisfy 1 <= i <= n, got {index}/{total}"
-        )
-    return index, total
-
-
-def shard_cells(
-    cells: Sequence[SweepCell], shard: tuple[int, int]
-) -> list[SweepCell]:
-    """Round-robin slice of the canonical cell order for shard ``(i, n)``.
-
-    Round-robin (``cells[i-1::n]``) rather than contiguous blocks so each
-    shard spans the whole grid — expensive settings spread evenly instead
-    of landing on one machine.
-    """
-    index, total = shard
-    if total < 1 or not 1 <= index <= total:
-        raise SweepError(
-            f"shard index must satisfy 1 <= i <= n, got {index}/{total}"
-        )
-    return list(cells[index - 1 :: total])
-
-
 @dataclass(frozen=True)
 class CellResult:
     """One executed cell: its fleet result plus attributable telemetry."""
 
-    cell: SweepCell
+    cell: Cell
     fleet: FleetResult
 
     @property
@@ -292,72 +208,16 @@ class SweepResult:
         return all(c.fleet.ok for c in self.cells)
 
     def frontier(self) -> FrontierReport:
-        return FrontierReport.from_cells(self.cells)
-
-
-class SweepRunner:
-    """Execute a :class:`SweepGrid` (or one shard of it) cell by cell.
-
-    Construction mirrors :class:`~repro.fleet.engine.FleetRunner` — the
-    same worker pool, cache directory, and supervision knobs apply to
-    every cell.  One underlying runner instance is reused across cells
-    so cache statistics accumulate over the whole sweep.
-    """
-
-    def __init__(
-        self,
-        workers: int = 1,
-        cache_dir: str | Path | None = None,
-        *,
-        max_retries: int = 2,
-        job_timeout: float | None = None,
-        fail_fast: bool = False,
-        telemetry: bool = False,
-        profile_dir: str | Path | None = None,
-        backend: str = DEFAULT_BACKEND,
-    ) -> None:
-        self.runner = FleetRunner(
-            workers,
-            cache_dir=cache_dir,
-            max_retries=max_retries,
-            job_timeout=job_timeout,
-            fail_fast=fail_fast,
-            telemetry=telemetry,
-            profile_dir=profile_dir,
-            backend=backend,
-        )
-
-    def run(
-        self,
-        grid: SweepGrid,
-        shard: tuple[int, int] = (1, 1),
-        on_cell=None,
-    ) -> SweepResult:
-        """Run this shard's cells in order; per-cell results accumulate.
-
-        ``on_cell`` (optional callable of one :class:`CellResult`) fires
-        as each cell completes — the CLI's progress hook.
-        """
-        start = time.perf_counter()
-        cells = shard_cells(grid.cells(), shard)
-        results: list[CellResult] = []
-        executed = 0
-        for cell in cells:
-            fleet = self.runner.run(grid.cell_spec(cell))
-            executed += fleet.executed
-            result = CellResult(cell=cell, fleet=fleet)
-            results.append(result)
-            if on_cell is not None:
-                on_cell(result)
-        snapshots = [r.telemetry for r in results if r.telemetry is not None]
-        telemetry = merge_snapshots(snapshots) if snapshots else None
-        return SweepResult(
-            grid=grid,
-            shard=shard,
-            cells=tuple(results),
-            elapsed_s=time.perf_counter() - start,
-            executed=executed,
-            telemetry=telemetry,
+        return FrontierReport.reduce(
+            SWEEP_FRONTIER,
+            (
+                (
+                    c.cell,
+                    [home.defenses[c.cell.knob_name] for home in c.fleet.homes],
+                    c.fleet.n_failed,
+                )
+                for c in self.cells
+            ),
         )
 
 
@@ -366,7 +226,46 @@ def run_sweep(
     shard: tuple[int, int] = (1, 1),
     workers: int = 1,
     cache_dir: str | Path | None = None,
-    **supervisor: object,
+    *,
+    max_retries: int = 2,
+    job_timeout: float | None = None,
+    fail_fast: bool = False,
+    telemetry: bool = False,
+    profile_dir: str | Path | None = None,
+    backend: str = DEFAULT_BACKEND,
+    on_cell=None,
 ) -> SweepResult:
-    """One-call convenience: ``SweepRunner(...).run(grid, shard)``."""
-    return SweepRunner(workers, cache_dir, **supervisor).run(grid, shard)
+    """Run one shard of ``grid`` cell by cell; per-cell results accumulate.
+
+    The other parameters configure one
+    :class:`~repro.fleet.engine.FleetRunner` shared by every cell, so
+    cache statistics accumulate over the whole sweep.  ``on_cell``
+    (optional callable of one :class:`CellResult`) fires as each cell
+    completes — the CLI's progress hook.
+    """
+    runner = FleetRunner(
+        workers,
+        cache_dir,
+        max_retries=max_retries,
+        job_timeout=job_timeout,
+        fail_fast=fail_fast,
+        telemetry=telemetry,
+        profile_dir=profile_dir,
+        backend=backend,
+    )
+    start = time.perf_counter()
+    results: list[CellResult] = []
+    for cell in shard_cells(grid.cells(), shard):
+        result = CellResult(cell=cell, fleet=runner.run(grid.cell_spec(cell)))
+        results.append(result)
+        if on_cell is not None:
+            on_cell(result)
+    snapshots = [r.telemetry for r in results if r.telemetry is not None]
+    return SweepResult(
+        grid=grid,
+        shard=shard,
+        cells=tuple(results),
+        elapsed_s=time.perf_counter() - start,
+        executed=sum(r.fleet.executed for r in results),
+        telemetry=merge_snapshots(snapshots) if snapshots else None,
+    )

@@ -108,13 +108,13 @@ class TestSweepCLI:
         report = FrontierReport.from_json(json_path)
         assert len(report.points) == 4
         lines = csv_path.read_text().splitlines()
-        assert tuple(lines[0].split(",")) == FrontierReport.CSV_HEADER
+        assert tuple(lines[0].split(",")) == report.schema.csv_header
         assert len(lines) == 1 + len(report.points)
         # CSV rows carry the same means the JSON round-tripped
         for line, point in zip(lines[1:], report.points):
             cells = line.split(",")
             assert cells[0] == point.defense
-            assert float(cells[5]) == pytest.approx(point.mcc.mean)
+            assert float(cells[5]) == pytest.approx(point.stats["mcc"].mean)
 
     def test_telemetry_output(self, tmp_path, capsys):
         tel = tmp_path / "tel.json"
@@ -145,6 +145,12 @@ class TestSweepCLI:
         assert main(["sweep", "--grid", str(grid)]) == 2
         assert "unknown grid keys" in capsys.readouterr().err
 
+    def test_mistyped_grid_file_exits_2(self, tmp_path, capsys):
+        grid = tmp_path / "grid.toml"
+        grid.write_text('defenses = ["nill"]\nsettings = 0.5\n')
+        assert main(["sweep", "--grid", str(grid)]) == 2
+        assert "must be a list" in capsys.readouterr().err
+
     def test_missing_grid_source_exits_2(self, capsys):
         assert main(["sweep"]) == 2
         assert "--grid FILE or --defenses" in capsys.readouterr().err
@@ -168,3 +174,22 @@ class TestSweepCLI:
     def test_check_monotone_passes_on_sane_grid(self, capsys):
         assert main(SWEEP_ARGS + ["--check-monotone"]) == 0
         assert "frontier monotonicity: ok" in capsys.readouterr().out
+
+
+class TestFleetCLI:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--defenses", "nosuch"], "unknown defenses"),
+            (["--defenses", "nosuch@0.5"], "no knob mapping"),
+            (["--defenses", "nill@2"], "must be in [0, 1]"),
+            (["--homes", "0"], "n_homes"),
+            (["--mix", "nosuch"], "unknown presets"),
+            (["--max-retries", "-1"], "max_retries"),
+        ],
+    )
+    def test_bad_spec_exits_2_before_dispatch(self, flags, message, capsys):
+        assert main(["fleet", "--homes", "2", "--days", "1"] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fleet: ")
+        assert message in err

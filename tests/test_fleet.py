@@ -77,6 +77,20 @@ class TestSeeding:
         with pytest.raises(IndexError):
             FleetSpec(n_homes=2).job(2)
 
+    def test_spec_validates_defense_names(self):
+        # refused at construction, not retried per home inside workers
+        with pytest.raises(ValueError, match="unknown defenses"):
+            FleetSpec(n_homes=1, defenses=("nill", "nosuch"))
+        with pytest.raises(ValueError, match="no knob mapping"):
+            FleetSpec(n_homes=1, defenses=("nosuch@0.5",))
+        with pytest.raises(ValueError, match="malformed"):
+            FleetSpec(n_homes=1, defenses=("nill@high",))
+        with pytest.raises(ValueError, match="must be in"):
+            FleetSpec(n_homes=1, defenses=("nill@1.5",))
+        spec = FleetSpec(n_homes=1, defenses=("nill", "smoothing@0.5"))
+        assert spec.resolved_defenses() == ("nill", "smoothing@0.5")
+        assert FleetSpec(n_homes=1, defenses=()).resolved_defenses() == ()
+
     def test_fingerprint_distinguishes_configs(self):
         assert config_fingerprint(home_a()) != config_fingerprint(home_b())
         assert config_fingerprint(home_a()) == config_fingerprint(home_a())
@@ -84,16 +98,30 @@ class TestSeeding:
 
 class TestDeterminism:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    @pytest.mark.parametrize("chunksize", [1, 3])
-    def test_bitwise_identical_across_workers_and_chunking(
-        self, serial_result, workers, chunksize
-    ):
-        result = run_fleet(SPEC, workers=workers, chunksize=chunksize)
+    def test_bitwise_identical_across_workers(self, serial_result, workers):
+        result = run_fleet(SPEC, workers=workers)
         # byte-identical per-home metered traces...
         assert [h.trace_digest for h in result.homes] == [
             h.trace_digest for h in serial_result.homes
         ]
         # ...and exactly equal population reports (floats compared ==)
+        assert FleetReport.from_result(result).comparable(
+            FleetReport.from_result(serial_result)
+        )
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    @pytest.mark.parametrize("chunksize", [1, 3])
+    def test_bitwise_identical_across_workers_and_chunking(
+        self, serial_result, workers, chunksize
+    ):
+        # the one chunking knob left is the batched backend's block size
+        result = run_fleet(
+            SPEC, workers=workers, backend="batched", batch_size=chunksize
+        )
+        assert result.ok
+        assert [h.trace_digest for h in result.homes] == [
+            h.trace_digest for h in serial_result.homes
+        ]
         assert FleetReport.from_result(result).comparable(
             FleetReport.from_result(serial_result)
         )
@@ -239,7 +267,10 @@ class TestReportAndRunner:
 
     def test_runner_validation(self):
         with pytest.raises(ValueError):
-            FleetRunner(chunksize=0)
+            FleetRunner(max_retries=-1)
+        # per-home dispatch has no chunking knob to accept
+        with pytest.raises(TypeError):
+            FleetRunner(chunksize=1)
 
     def test_all_defenses_by_default(self):
         from repro.core import defense_names

@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from repro.fleet import (
-    NetprivFrontierPoint,
-    NetprivFrontierReport,
+    NETPRIV_FRONTIER,
+    FleetRunner,
+    FrontierPoint,
+    FrontierReport,
     NetprivGrid,
     NetprivJobResult,
-    NetprivSweepRunner,
+    NetprivSweepResult,
     PopulationStats,
     SweepError,
     netpriv_lan_config,
     run_netpriv_job,
+    run_netpriv_sweep,
     shard_cells,
 )
 from repro.fleet.netpriv import NetprivJob
@@ -25,19 +28,26 @@ def _stats(value: float) -> PopulationStats:
 
 
 def _point(defense: str, setting: float, adaptive_mcc: float, seed: int = 0):
-    return NetprivFrontierPoint(
+    return FrontierPoint(
         defense=defense,
         setting=setting,
         seed=seed,
-        n_lans=1,
+        count=1,
         n_failed=0,
-        naive_mcc=_stats(0.5),
-        adaptive_mcc=_stats(adaptive_mcc),
-        naive_fingerprint_acc=_stats(0.9),
-        adaptive_fingerprint_acc=_stats(0.95),
-        cover_mb_per_day=_stats(10.0),
-        mean_added_delay_s=_stats(5.0),
+        stats={
+            "naive_mcc": _stats(0.5),
+            "adaptive_mcc": _stats(adaptive_mcc),
+            "naive_fingerprint_acc": _stats(0.9),
+            "adaptive_fingerprint_acc": _stats(0.95),
+            "cover_mb_per_day": _stats(10.0),
+            "mean_added_delay_s": _stats(5.0),
+        },
+        schema=NETPRIV_FRONTIER,
     )
+
+
+def _report(*points) -> FrontierReport:
+    return FrontierReport(schema=NETPRIV_FRONTIER, points=points)
 
 
 class TestNetprivGrid:
@@ -126,17 +136,13 @@ class TestRunNetprivJob:
 
 class TestNetprivFrontierReport:
     def test_monotone_violation_detection(self):
-        ok = NetprivFrontierReport(
-            points=(
-                _point("cover", 0.0, 0.8),
-                _point("cover", 0.5, 0.5),
-                _point("cover", 1.0, 0.52),  # within tolerance of running min
-            )
+        ok = _report(
+            _point("cover", 0.0, 0.8),
+            _point("cover", 0.5, 0.5),
+            _point("cover", 1.0, 0.52),  # within tolerance of running min
         )
         assert ok.monotone_violations(tolerance=0.05) == []
-        bad = NetprivFrontierReport(
-            points=(_point("cover", 0.0, 0.3), _point("cover", 1.0, 0.8))
-        )
+        bad = _report(_point("cover", 0.0, 0.3), _point("cover", 1.0, 0.8))
         violations = bad.monotone_violations(tolerance=0.05)
         assert len(violations) == 1
         assert "cover@1" in violations[0]
@@ -144,24 +150,20 @@ class TestNetprivFrontierReport:
             ok.monotone_violations(tolerance=-1.0)
 
     def test_series_tracked_per_defense_and_seed(self):
-        report = NetprivFrontierReport(
-            points=(
-                _point("cover", 0.0, 0.2, seed=0),
-                _point("cover", 1.0, 0.8, seed=1),  # different seed: own series
-            )
+        report = _report(
+            _point("cover", 0.0, 0.2, seed=0),
+            _point("cover", 1.0, 0.8, seed=1),  # different seed: own series
         )
         assert report.monotone_violations() == []
 
     def test_json_roundtrip(self, tmp_path):
-        report = NetprivFrontierReport(
-            points=(_point("cover", 0.0, 0.8), _point("cover", 1.0, 0.1))
-        )
+        report = _report(_point("cover", 0.0, 0.8), _point("cover", 1.0, 0.1))
         path = tmp_path / "frontier.json"
         report.to_json(path)
-        assert NetprivFrontierReport.from_json(path) == report
+        assert FrontierReport.from_json(path) == report
 
     def test_csv_export(self, tmp_path):
-        report = NetprivFrontierReport(points=(_point("merge", 0.5, 0.4),))
+        report = _report(_point("merge", 0.5, 0.4))
         path = report.to_csv(tmp_path / "frontier.csv")
         lines = path.read_text().strip().splitlines()
         assert lines[0].split(",")[:3] == ["defense", "setting", "seed"]
@@ -169,9 +171,7 @@ class TestNetprivFrontierReport:
         assert lines[1].startswith("merge,0.5,0,1,0")
 
     def test_format_table_lists_every_point(self):
-        report = NetprivFrontierReport(
-            points=(_point("cover", 0.0, 0.8), _point("jitter", 1.0, 0.7))
-        )
+        report = _report(_point("cover", 0.0, 0.8), _point("jitter", 1.0, 0.7))
         table = report.format_table()
         assert "cover" in table and "jitter" in table
         assert "adapt" in table.splitlines()[0]
@@ -182,7 +182,7 @@ class TestNetprivSweep:
         grid = NetprivGrid(
             defenses=("cover",), settings=(0.0, 0.5), seeds=(0,), days=1
         )
-        result = NetprivSweepRunner(workers=1).run(grid)
+        result = run_netpriv_sweep(grid, workers=1)
         assert result.ok
         assert len(result.results) == 2
         frontier = result.frontier()
@@ -190,8 +190,9 @@ class TestNetprivSweep:
         # setting 0 is the unshaped anchor: naive attacker healthy there,
         # suppressed by cover at the dialed point; adaptive survives both
         by_setting = {p.setting: p for p in frontier.points}
-        assert by_setting[0.0].naive_mcc.mean > by_setting[0.5].naive_mcc.mean
-        assert by_setting[0.5].adaptive_advantage > 0.2
+        naive = {s: p.metric("naive_mcc.mean") for s, p in by_setting.items()}
+        assert naive[0.0] > naive[0.5]
+        assert by_setting[0.5].metric("adaptive_advantage") > 0.2
 
     def test_failures_reported_not_raised(self, monkeypatch):
         import repro.fleet.netpriv as fn
@@ -200,14 +201,34 @@ class TestNetprivSweep:
             raise RuntimeError("lan exploded")
 
         grid = NetprivGrid(defenses=("jitter",), settings=(0.5,), days=1)
-        runner = NetprivSweepRunner(workers=1, max_retries=0)
         jobs = grid.jobs_for(grid.cells())
-        batch = runner.runner.run_jobs(jobs, boom)
+        batch = FleetRunner(workers=1, max_retries=0).run_jobs(jobs, boom)
         assert not batch.results
         assert len(batch.failures) == 1
         assert batch.failures[0].kind == "error"
-        report = NetprivFrontierReport.from_results([], batch.failures)
-        assert report.points == ()
+        result = NetprivSweepResult(
+            grid=grid, shard=(1, 1), results=(), failures=batch.failures,
+            elapsed_s=0.0, workers_used=1,
+        )
+        assert result.frontier().points == ()
+
+    def test_sweep_supervisor_keywords(self, monkeypatch):
+        import repro.fleet.netpriv as fn
+
+        def boom(job):
+            raise RuntimeError("lan exploded")
+
+        monkeypatch.setattr(fn, "run_netpriv_job", boom)
+        grid = NetprivGrid(defenses=("jitter",), settings=(0.5,), days=1)
+        # None selects the default backend, as it always has
+        result = run_netpriv_sweep(grid, backend=None, max_retries=0)
+        assert [f.kind for f in result.failures] == ["error"]
+        assert result.frontier().points == ()
+        with pytest.raises(ValueError, match="batched"):
+            run_netpriv_sweep(grid, backend="batched")
+        # netpriv jobs have no result cache to configure
+        with pytest.raises(TypeError):
+            run_netpriv_sweep(grid, cache_dir="cache")
 
 
 class TestNetprivCli:

@@ -18,11 +18,10 @@ import csv
 import pytest
 
 from repro.fleet import (
+    Cell,
     FrontierReport,
-    SweepCell,
     SweepError,
     SweepGrid,
-    SweepRunner,
     load_grid,
     parse_shard,
     run_sweep,
@@ -44,10 +43,10 @@ class TestGrid:
     def test_cell_order_is_canonical(self):
         cells = SMALL.cells()
         assert cells == [
-            SweepCell("nill", 0.0, 0),
-            SweepCell("nill", 1.0, 0),
-            SweepCell("smoothing", 0.0, 0),
-            SweepCell("smoothing", 1.0, 0),
+            Cell("nill", 0.0, 0),
+            Cell("nill", 1.0, 0),
+            Cell("smoothing", 0.0, 0),
+            Cell("smoothing", 1.0, 0),
         ]
         assert SMALL.n_cells == 4
 
@@ -58,7 +57,7 @@ class TestGrid:
         assert [c.setting for c in grid.cells()] == [0.0, 0.5, 1.0]
 
     def test_cell_spec_carries_parametrized_defense(self):
-        spec = SMALL.cell_spec(SweepCell("nill", 0.5, 7))
+        spec = SMALL.cell_spec(Cell("nill", 0.5, 7))
         assert spec.defenses == ("nill@0.5",)
         assert spec.seed == 7
         assert spec.n_homes == SMALL.n_homes
@@ -153,10 +152,11 @@ class TestResume:
         assert fresh == cached
 
     def test_runner_reuse_accumulates_cache_stats(self, tmp_path):
-        runner = SweepRunner(cache_dir=tmp_path / "cache")
-        runner.run(SMALL)
-        runner.run(SMALL)
-        stats = runner.runner.cache.stats
+        run_sweep(SMALL, cache_dir=tmp_path / "cache")
+        result = run_sweep(SMALL, cache_dir=tmp_path / "cache")
+        # one runner serves every cell, so the last cell's (shared)
+        # cache stats are the whole sweep's
+        stats = result.cells[-1].fleet.cache_stats
         assert stats.hits == SMALL.n_cells * SMALL.n_homes
 
 
@@ -210,6 +210,16 @@ class TestGridFiles:
             "not-a-table.json": '[1, 2]',
             "bad-defense.toml": 'defenses = ["no-such"]\nsettings = [0.5]\n',
             "bad-ext.yaml": "defenses: [nill]\n",
+            # mistyped values are refused, never coerced
+            "scalar-settings.toml": 'defenses = ["nill"]\nsettings = 0.5\n',
+            "string-setting.json": '{"defenses": ["nill"], "settings": ["0.5"]}',
+            "bool-setting.json": '{"defenses": ["nill"], "settings": [true]}',
+            "float-homes.toml": 'defenses = ["nill"]\nsettings = [0.5]\nn_homes = 2.9\n',
+            "bool-days.json": '{"defenses": ["nill"], "settings": [0.5], "days": true}',
+            "float-seed.toml": 'defenses = ["nill"]\nsettings = [0.5]\nseeds = [1.7]\n',
+            "bool-seed.toml": 'defenses = ["nill"]\nsettings = [0.5]\nseeds = [true]\n',
+            "string-defenses.toml": 'defenses = "chpr"\nsettings = [0.5]\n',
+            "number-mix.json": '{"defenses": ["nill"], "settings": [0.5], "mix": [1]}',
         }
         for name, text in cases.items():
             path = tmp_path / name
@@ -233,13 +243,13 @@ class TestFrontierExports:
         path = frontier.to_csv(tmp_path / "frontier.csv")
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert tuple(rows[0]) == FrontierReport.CSV_HEADER
+        assert tuple(rows[0]) == frontier.schema.csv_header
         assert len(rows) == 1 + len(frontier.points)
         for row, point in zip(rows[1:], frontier.points):
             assert row[0] == point.defense
             assert float(row[1]) == point.setting
-            assert float(row[5]) == pytest.approx(point.mcc.mean)
-            assert float(row[13]) == pytest.approx(point.extra_kwh.mean)
+            assert float(row[5]) == pytest.approx(point.stats["mcc"].mean)
+            assert float(row[13]) == pytest.approx(point.stats["extra_kwh"].mean)
 
     def test_table_covers_all_points(self, frontier):
         table = frontier.format_table()
@@ -289,17 +299,17 @@ class TestAcceptanceGrid:
         assert len(anchors) == len(self.GRID.defenses)
         # all mechanisms share the identity anchor: same homes, no defense
         for point in anchors[1:]:
-            assert point.mcc == anchors[0].mcc
+            assert point.stats["mcc"] == anchors[0].stats["mcc"]
         for point in anchors:
-            assert point.distortion_w.max == 0.0
-            assert point.extra_kwh.max == 0.0
+            assert point.stats["distortion_w"].max == 0.0
+            assert point.stats["extra_kwh"].max == 0.0
 
     def test_full_knob_buys_privacy(self, result):
         """The dial's endpoints bracket the tradeoff, per mechanism."""
         frontier = result.frontier()
         by_defense: dict[str, dict[float, float]] = {}
         for p in frontier.points:
-            by_defense.setdefault(p.defense, {})[p.setting] = p.mcc.mean
+            by_defense.setdefault(p.defense, {})[p.setting] = p.stats["mcc"].mean
         for defense in ("nill", "dp-laplace"):
             series = by_defense[defense]
             assert series[1.0] < 0.65 * series[0.0]
