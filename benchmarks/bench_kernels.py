@@ -20,7 +20,8 @@ Run directly::
 
 or through pytest (``python -m pytest benchmarks/bench_kernels.py``),
 which additionally asserts the acceptance floors: >= 3x on the HMM
-fit+decode pipeline and on FHMM joint-space decoding.
+fit+decode pipeline, on FHMM joint-space decoding and on the small-k
+Viterbi the NIOM detector decodes with.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ OUT_ENV = "REPRO_BENCH_KERNELS_OUT"
 DEFAULT_OUT = "BENCH_kernels.json"
 
 #: acceptance floors asserted by the pytest entry point
-FLOORS = {"hmm_fit_decode": 3.0, "fhmm_decode": 3.0}
+FLOORS = {"hmm_fit_decode": 3.0, "fhmm_decode": 3.0, "viterbi_small_k": 3.0}
 
 
 def _best_of(f, reps: int) -> float:
@@ -178,6 +179,20 @@ def run_benchmarks(reps: int = 3) -> dict:
         lambda: kernels.viterbi(log_pi, log_a, log_b),
         lambda a, b: np.array_equal(a, b), reps,
         "bound-pruned Viterbi, 243 joint states, n=1440 (one day of minutes)",
+    )
+    results[name] = row
+
+    # --- small-k Viterbi (the HMM NIOM detector: 3 days of 15-min windows) ---
+    rng = np.random.default_rng(6)
+    log_pi = np.log(np.array([0.5, 0.5]))
+    log_a = np.log(np.array([[0.95, 0.05], [0.05, 0.95]]))
+    log_b = rng.normal(-5.0, 4.0, (288, 2))
+    name, row = _entry(
+        "viterbi_small_k",
+        lambda: kernels.viterbi_loop(log_pi, log_a, log_b),
+        lambda: kernels.viterbi(log_pi, log_a, log_b),
+        lambda a, b: np.array_equal(a, b), reps,
+        "Python-float trellis, k=2, n=288 (the NIOM detector shape)",
     )
     results[name] = row
 

@@ -7,6 +7,7 @@ much legitimate analytics are damaged), and *cost* (extra energy/comfort).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,9 +17,12 @@ from ..defenses.base import DefenseOutcome
 from ..obs import TELEMETRY
 from ..timeseries import BinaryTrace, PowerTrace
 
-# The ensemble follows the literature's convention of assuming residents
-# sleep at home (the night prior): detectors answer the daytime question,
-# which is also what the paper's figures evaluate.
+#: The NIOM detector ensemble every evaluation runs, as ``(name, factory)``
+#: pairs; the fleet engine's name registry and default ensemble derive
+#: from it.  Each factory keeps the contract :func:`occupancy_privacy`
+#: documents.  The ensemble follows the literature's convention of
+#: assuming residents sleep at home (the night prior): detectors answer
+#: the daytime question, which is also what the paper's figures evaluate.
 DEFAULT_DETECTORS = (
     ("threshold-15m", lambda: ThresholdNIOM(night_prior=True)),
     ("threshold-60m", lambda: ThresholdNIOM(window_s=3600.0, night_prior=True)),
@@ -48,20 +52,48 @@ class PrivacyScore:
         return max(self.per_detector_accuracy.values())
 
 
+def trace_digest(trace: PowerTrace) -> str:
+    """SHA-256 of a trace's samples and clock — the byte-identity check."""
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(trace.values).tobytes())
+    h.update(repr((trace.period_s, trace.start_s, len(trace))).encode())
+    return h.hexdigest()
+
+
 def occupancy_privacy(
     visible: PowerTrace,
     truth: BinaryTrace,
     detectors=DEFAULT_DETECTORS,
+    memo: dict | None = None,
 ) -> PrivacyScore:
-    """Run the NIOM detector ensemble against a visible trace."""
+    """Run the NIOM detector ensemble against a visible trace.
+
+    ``detectors`` holds unique ``(name, factory)`` pairs.  Every factory
+    must return a *fresh* detector per call, with any randomness seeded
+    inside the factory (``HMMNIOM(rng=0)``, never a shared generator), so
+    a detector's output is a pure function of the trace it is given.
+
+    ``memo`` relies on that contract.  Given a dict that lives while
+    ``truth`` and ``detectors`` stay fixed (one
+    :func:`~repro.core.pipeline.evaluate_simulation` call), a trace whose
+    :func:`trace_digest` a detector has already scored reuses that
+    ``(mcc, accuracy)`` pair instead of detecting again, and counts
+    ``attack.memo_hits``.
+    """
+    memo = {} if memo is None else memo
+    key = trace_digest(visible)
     mccs: dict[str, float] = {}
     accs: dict[str, float] = {}
     for name, factory in detectors:
-        with TELEMETRY.timer(f"stage.attack.{name}"):
-            result = factory().detect(visible)
-            scores = score_occupancy_attack(result.occupancy, truth)
-        mccs[name] = scores["mcc"]
-        accs[name] = scores["accuracy"]
+        scored = memo.get((name, key))
+        if scored is None:
+            with TELEMETRY.timer(f"stage.attack.{name}"):
+                result = factory().detect(visible)
+                scores = score_occupancy_attack(result.occupancy, truth)
+            scored = memo[(name, key)] = (scores["mcc"], scores["accuracy"])
+        else:
+            TELEMETRY.count("attack.memo_hits")
+        mccs[name], accs[name] = scored
     return PrivacyScore(per_detector_mcc=mccs, per_detector_accuracy=accs)
 
 
@@ -134,11 +166,15 @@ def evaluate_defense_outcome(
     true_load: PowerTrace,
     occupancy: BinaryTrace,
     detectors=DEFAULT_DETECTORS,
+    memo: dict | None = None,
 ) -> TradeoffPoint:
-    """Score one defense's outcome on all three axes."""
+    """Score one defense's outcome on all three axes.
+
+    ``memo`` is passed to :func:`occupancy_privacy`.
+    """
     return TradeoffPoint(
         defense=name,
-        privacy=occupancy_privacy(outcome.visible, occupancy, detectors),
+        privacy=occupancy_privacy(outcome.visible, occupancy, detectors, memo),
         utility=analytics_utility(outcome.visible, true_load),
         extra_energy_kwh=outcome.extra_energy_kwh,
         comfort_violation_fraction=outcome.comfort_violation_fraction,

@@ -47,6 +47,12 @@ def evaluate_simulation(
     This is the process-safe core of :func:`run_pipeline`: a plain
     module-level function of picklable arguments (plus detector factories),
     so fleet worker processes can import and call it directly.
+
+    Detection is memoised for the duration of the call: a visible trace
+    identical to one already attacked (``identity`` reproduces the metered
+    baseline, and so can a knob at setting 0) reuses its detector scores,
+    under the factory contract documented on
+    :func:`~repro.core.evaluation.occupancy_privacy`.
     """
     rng = np.random.default_rng(rng)
     if defense_names is None:
@@ -56,10 +62,11 @@ def evaluate_simulation(
 
     occupancy = sim.occupancy
     metered = sim.metered
+    memo: dict = {}
     baseline_outcome = DefenseOutcome(visible=metered)
     with TELEMETRY.timer("stage.attack"):
         baseline = evaluate_defense_outcome(
-            "baseline", baseline_outcome, metered, occupancy, detectors
+            "baseline", baseline_outcome, metered, occupancy, detectors, memo
         )
     results: dict[str, TradeoffPoint] = {}
     for name in defense_names:
@@ -71,7 +78,7 @@ def evaluate_simulation(
             outcome = defense.apply(metered, rng)
         with TELEMETRY.timer("stage.attack"):
             results[name] = evaluate_defense_outcome(
-                name, outcome, metered, occupancy, detectors
+                name, outcome, metered, occupancy, detectors, memo
             )
     return PipelineResult(baseline=baseline, defenses=results)
 

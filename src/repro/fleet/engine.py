@@ -44,8 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..attacks.niom import HMMNIOM, ThresholdNIOM
-from ..core.evaluation import TradeoffPoint
+from ..core.evaluation import DEFAULT_DETECTORS, TradeoffPoint, trace_digest
 from ..core.pipeline import evaluate_simulation
 from ..home.household import simulate_home
 from ..obs import (
@@ -75,21 +74,8 @@ from .faults import FAULTS_ENV, FaultPlan, maybe_inject
 from .spec import FleetSpec, HomeJob
 
 #: Name -> detector factory, resolved inside the worker so only names
-#: (not closures) ever cross the process boundary.  Mirrors
-#: ``core.evaluation.DEFAULT_DETECTORS``.
-FLEET_DETECTORS = {
-    "threshold-15m": lambda: ThresholdNIOM(night_prior=True),
-    "threshold-60m": lambda: ThresholdNIOM(window_s=3600.0, night_prior=True),
-    "hmm": lambda: HMMNIOM(rng=0),
-}
-
-
-def trace_digest(trace: PowerTrace) -> str:
-    """SHA-256 of a trace's samples and clock — the byte-identity check."""
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(trace.values).tobytes())
-    h.update(repr((trace.period_s, trace.start_s, len(trace))).encode())
-    return h.hexdigest()
+#: (not closures) ever cross the process boundary.
+FLEET_DETECTORS = dict(DEFAULT_DETECTORS)
 
 
 def result_digest(result: "FleetResult") -> str:

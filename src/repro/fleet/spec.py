@@ -19,14 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.evaluation import DEFAULT_DETECTORS
 from ..home.fingerprint import config_fingerprint
 from ..home.household import HomeConfig
 from ..home.presets import make_preset, preset_names
 from ..obs import TELEMETRY
 
-#: Detector ensemble evaluated against every home (mirrors
-#: ``core.evaluation.DEFAULT_DETECTORS`` by name).
-DEFAULT_FLEET_DETECTORS = ("threshold-15m", "threshold-60m", "hmm")
+#: Detector ensemble evaluated against every home, by name.
+DEFAULT_FLEET_DETECTORS = tuple(name for name, _ in DEFAULT_DETECTORS)
 
 
 def _home_seed(root_seed: int, index: int) -> np.random.SeedSequence:

@@ -126,7 +126,7 @@ class GaussianHMM:
         Returns (b, shift) with ``b[t] = exp(log_b[t] - shift[t])``; the
         shifts are added back when computing log-likelihoods.
         """
-        shift = log_b.max(axis=1)
+        shift = kernels.row_max(log_b)
         return np.exp(log_b - shift[:, None]), shift
 
     def log_likelihood(self, X) -> float:

@@ -19,11 +19,16 @@ speedups are regression-tested, not anecdotal.
 Equivalence contracts
 ---------------------
 * :func:`log_gaussian` — bitwise equal to :func:`log_gaussian_loop`
-  (same reductions over the same axes, same operation order).
+  (same reductions over the same axes, same operation order; the
+  feature-axis sums fold columns left to right exactly as numpy sums a
+  tiny axis, see :func:`row_sum`).
 * :func:`viterbi` — returns bitwise-identical state paths to
   :func:`viterbi_loop`: the per-step score values are computed with the
   same additions, ``max`` is exact, and backtracking recomputes exactly
-  the ``argmax`` the reference stored, so tie-breaking matches too.
+  the ``argmax`` the reference stored, so tie-breaking matches too.  The
+  small-model Python-float path sends non-finite inputs to the loop;
+  that is the only value-based dispatch in this module, and both sides
+  of it return the same path.
 * :func:`joint_chain_params` — bitwise equal to
   :func:`joint_chain_params_loop`: the Kronecker folds multiply/add the
   per-chain factors in the same left-to-right order the loops did.
@@ -56,6 +61,48 @@ SCAN_MIN_SAMPLES = 16
 
 _TINY = 1e-300
 
+#: numpy sums an axis shorter than this left to right from ``+0.0``; its
+#: pairwise summation only splits blocks of 8 or more elements.
+_ROW_SUM_FOLD_COLS = 8
+
+#: Widest trailing axis :func:`row_max` folds by columns (max is exact in
+#: any order, so this bound is about speed only).
+_ROW_MAX_FOLD_COLS = 16
+
+
+# ---------------------------------------------------------------------------
+# Reductions over tiny trailing axes
+# ---------------------------------------------------------------------------
+# numpy's axis-reductions pay a per-row dispatch that dwarfs the arithmetic
+# when the reduced axis holds a handful of elements (an (m, 4) row max costs
+# ~40x a global max).  Folding whole columns through one ufunc per column
+# computes the same values in a few O(m) passes.
+def row_sum(A: np.ndarray) -> np.ndarray:
+    """``A.sum(axis=-1)``, bitwise, folded by columns on a tiny last axis.
+
+    Below :data:`_ROW_SUM_FOLD_COLS` columns numpy adds the elements left
+    to right starting from ``+0.0`` (so a row of ``-0.0`` sums to
+    ``+0.0``); the fold repeats exactly that.  Wider axes go to numpy.
+    """
+    ncols = A.shape[-1]
+    if not 0 < ncols < _ROW_SUM_FOLD_COLS:
+        return A.sum(axis=-1)
+    out = A[..., 0] + 0.0
+    for c in range(1, ncols):
+        out += A[..., c]
+    return out
+
+
+def row_max(A: np.ndarray) -> np.ndarray:
+    """``A.max(axis=-1)``, bitwise, folded by columns on a tiny last axis."""
+    ncols = A.shape[-1]
+    if not 0 < ncols <= _ROW_MAX_FOLD_COLS:
+        return A.max(axis=-1)
+    out = A[..., 0].copy()
+    for c in range(1, ncols):
+        np.maximum(out, A[..., c], out=out)
+    return out
+
 
 # ---------------------------------------------------------------------------
 # Gaussian emission log-densities
@@ -74,9 +121,9 @@ def log_gaussian(X: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.
         return log_gaussian_loop(X, means, variances)
     # (a + b) + c with the loop's exact association:
     #   a = d*log(2*pi), b = sum_j log(var_kj), c = sum_j diff^2/var
-    const = d * np.log(2.0 * np.pi) + np.log(variances).sum(axis=1)
+    const = d * np.log(2.0 * np.pi) + row_sum(np.log(variances))
     diff = X[:, None, :] - means[None, :, :]
-    quad = (diff * diff / variances[None, :, :]).sum(axis=2)
+    quad = row_sum(diff * diff / variances[None, :, :])
     return -0.5 * (const[None, :] + quad)
 
 
@@ -288,17 +335,7 @@ def _renormalize(
     m = len(P)
     if start >= m:
         return
-    flat = P[start:].reshape(m - start, -1)
-    ncols = flat.shape[1]
-    if ncols <= 16:
-        # numpy's axis-reductions pay ~100x per-row overhead when the
-        # reduced axis is tiny; folding whole columns through np.maximum
-        # computes the identical row maxima in a handful of O(m) passes.
-        norm = flat[:, 0].copy()
-        for c in range(1, ncols):
-            np.maximum(norm, flat[:, c], out=norm)
-    else:
-        norm = flat.max(axis=1)
+    norm = row_max(P[start:].reshape(m - start, -1))
     if (
         not force
         and norm.min() > _RENORM_THRESHOLD
@@ -340,7 +377,7 @@ def _estep_scan(
 
     # forward: alpha_hat[t] = normalized a0 @ (M[1..t] product)
     alpha_rest = np.matmul(a0, P)  # (n-1, k)
-    row = np.maximum(alpha_rest.sum(axis=1), LOG_EPS)
+    row = np.maximum(row_sum(alpha_rest), LOG_EPS)
     alpha_hat = np.empty((n, k))
     alpha_hat[0] = a0
     alpha_hat[1:] = alpha_rest / row[:, None]
@@ -350,13 +387,11 @@ def _estep_scan(
     Q, _ = _suffix_products(M)
     beta_hat = np.empty((n, k))
     beta_hat[-1] = 1.0
-    beta_rows = Q.sum(axis=2)
-    beta_hat[:-1] = beta_rows / np.maximum(
-        beta_rows.max(axis=1, keepdims=True), _TINY
-    )
+    beta_rows = row_sum(Q)
+    beta_hat[:-1] = beta_rows / np.maximum(row_max(beta_rows), _TINY)[:, None]
 
     gamma = alpha_hat * beta_hat
-    gamma /= np.maximum(gamma.sum(axis=1, keepdims=True), LOG_EPS)
+    gamma /= np.maximum(row_sum(gamma), LOG_EPS)[:, None]
 
     xi_sum = None
     if want_xi:
@@ -378,6 +413,12 @@ def _estep_scan(
 #: more than the k*k arithmetic it saves).
 VITERBI_PRUNE_MIN_STATES = 16
 
+#: Models with at most this many states decode on Python floats.  The
+#: float trellis costs ~k^2 interpreted additions per step against the
+#: reference loop's near-constant numpy dispatch; they cross at k ~ 8-9
+#: for the n=288 NIOM shape (docs/PERFORMANCE.md).
+VITERBI_FLOAT_MAX_STATES = 8
+
 
 def viterbi(log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
     """Most likely state path; bitwise-identical to :func:`viterbi_loop`.
@@ -395,15 +436,21 @@ def viterbi(log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray) -> np.ndar
       per step — which reproduces exactly the ``argmax`` the reference
       stored for every ``(t, j)``, including first-index tie-breaking.
 
-    Small models fall through to the reference loop unchanged: their cost
-    is per-call overhead, which none of the reformulations measured in
-    ``docs/PERFORMANCE.md`` beat.
+    Small models are dominated by numpy's per-call overhead, not
+    arithmetic: up to :data:`VITERBI_FLOAT_MAX_STATES` states the same
+    trellis runs on Python floats (:func:`_viterbi_small`), and the rest
+    of the small range, plus any non-finite input, runs the reference
+    loop unchanged.
     """
     n, k = log_b.shape
     if k < VITERBI_PRUNE_MIN_STATES:
-        # Small models are dominated by per-call overhead, not arithmetic;
-        # measurements (docs/PERFORMANCE.md) show no numpy reformulation
-        # beats the reference loop there, so it is used as-is.
+        if (
+            k <= VITERBI_FLOAT_MAX_STATES
+            and np.isfinite(log_b).all()
+            and np.isfinite(log_a).all()
+            and np.isfinite(log_pi).all()
+        ):
+            return _viterbi_small(log_pi, log_a, log_b)
         return viterbi_loop(log_pi, log_a, log_b)
     delta = _viterbi_deltas_pruned(log_pi, log_a, log_b)
     states = np.empty(n, dtype=int)
@@ -416,6 +463,49 @@ def viterbi(log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray) -> np.ndar
         s = int(np.argmax(delta[t] + log_aT[s]))
         states[t] = s
     return states
+
+
+def _viterbi_small(
+    log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray
+) -> np.ndarray:
+    """:func:`viterbi_loop` on Python floats, for finite inputs and small k.
+
+    Every score is the reference's own float64 addition, and scanning
+    ``i`` upwards with a strict ``>`` keeps the first maximal index, as
+    ``argmax`` does.  Finite inputs never produce NaN (scores can only
+    saturate at one signed infinity), so no comparison differs from the
+    reference's.
+    """
+    n, k = log_b.shape
+    cols = log_a.T.tolist()
+    rows = log_b.tolist()
+    delta = [p + b for p, b in zip(log_pi.tolist(), rows[0])]
+    backptr = [None] * n
+    others = range(1, k)
+    for t in range(1, n):
+        new_delta = []
+        back = []
+        for col, b in zip(cols, rows[t]):
+            best_i = 0
+            best = delta[0] + col[0]
+            for i in others:
+                score = delta[i] + col[i]
+                if score > best:
+                    best = score
+                    best_i = i
+            new_delta.append(best + b)
+            back.append(best_i)
+        delta = new_delta
+        backptr[t] = back
+    s = 0
+    for i in range(1, k):
+        if delta[i] > delta[s]:
+            s = i
+    states = [s] * n
+    for t in range(n - 1, 0, -1):
+        s = backptr[t][s]
+        states[t - 1] = s
+    return np.array(states, dtype=int)
 
 
 def _viterbi_deltas_pruned(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .kernels import row_sum
 from .preprocessing import check_features
 
 
@@ -55,7 +56,7 @@ class KMeans:
         centroids[0] = X[self._rng.integers(n)]
         closest_sq = np.full(n, np.inf)
         for k in range(1, self.n_clusters):
-            dist_sq = ((X - centroids[k - 1]) ** 2).sum(axis=1)
+            dist_sq = row_sum((X - centroids[k - 1]) ** 2)
             closest_sq = np.minimum(closest_sq, dist_sq)
             total = closest_sq.sum()
             if total <= 0:
@@ -66,11 +67,21 @@ class KMeans:
         return centroids
 
     @staticmethod
-    def _assign(X: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, float]:
-        dists = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        labels = dists.argmin(axis=1)
-        inertia = float(dists[np.arange(len(X)), labels].sum())
-        return labels, inertia
+    def _assign(X: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest-centroid labels and each row's squared distance to it.
+
+        The ``argmin`` over centroids is folded by columns (strict ``<``
+        keeps the first minimum, as ``argmin`` does); ``X`` is finite
+        (:func:`check_features`), so no NaN can reach the comparison.
+        """
+        dists = row_sum((X[:, None, :] - centroids[None, :, :]) ** 2)
+        labels = np.zeros(len(X), dtype=np.intp)
+        closest = dists[:, 0].copy()
+        for k in range(1, dists.shape[1]):
+            nearer = dists[:, k] < closest
+            labels[nearer] = k
+            np.minimum(closest, dists[:, k], out=closest)
+        return labels, closest
 
     def fit(self, X) -> "KMeans":
         X = check_features(X)
@@ -93,7 +104,7 @@ class KMeans:
                 centroids = new_centroids
                 if movement < self.tol:
                     break
-            _, inertia = self._assign(X, centroids)
+            inertia = float(self._assign(X, centroids)[1].sum())
             if inertia < best_inertia:
                 best_inertia = inertia
                 best_centroids = centroids

@@ -10,6 +10,7 @@ from repro.core import (
     analytics_utility,
     defense_names,
     evaluate_defense_outcome,
+    evaluate_simulation,
     make_defense,
     make_niom_attack,
     niom_attack_names,
@@ -57,6 +58,82 @@ class TestEvaluation:
         assert point.defense == "nill"
         summary = point.summary()
         assert {"worst_case_mcc", "utility", "extra_energy_kwh"} <= set(summary)
+
+
+class TestDetectionMemo:
+    """``evaluate_simulation`` scores each distinct visible trace once."""
+
+    @pytest.fixture(scope="class")
+    def short_sim(self):
+        return simulate_home(home_a(), 2, rng=5)
+
+    @staticmethod
+    def _unmemoised(sim, names, seed):
+        # what evaluate_simulation computed before the memo: every trace
+        # detected from scratch, defenses drawing from one seeded stream
+        rng = np.random.default_rng(seed)
+        metered, occupancy = sim.metered, sim.occupancy
+        baseline = evaluate_defense_outcome(
+            "baseline", DefenseOutcome(visible=metered), metered, occupancy
+        )
+        points = {
+            name: evaluate_defense_outcome(
+                name, make_defense(name).apply(metered, rng), metered, occupancy
+            )
+            for name in names
+        }
+        return baseline, points
+
+    @staticmethod
+    def _counting(fn):
+        from repro.obs import TELEMETRY
+
+        previous = TELEMETRY.enabled
+        before = TELEMETRY.snapshot()
+        TELEMETRY.enabled = True
+        try:
+            out = fn()
+            delta = TELEMETRY.snapshot().minus(before)
+        finally:
+            TELEMETRY.enabled = previous
+            TELEMETRY.restore(before)
+        return out, delta.counters
+
+    def test_same_points_as_scoring_every_trace(self, short_sim):
+        names = ["identity", "noise"]
+        result = evaluate_simulation(short_sim, names, rng=3)
+        baseline, points = self._unmemoised(short_sim, names, 3)
+        assert repr(result.baseline) == repr(baseline)
+        assert repr(result.defenses) == repr(points)
+
+    def test_each_repeated_trace_saves_one_fit(self, short_sim):
+        # identity and noise@0 both reproduce the metered baseline
+        names = ["identity", "noise@0", "noise"]
+        result, counters = self._counting(
+            lambda: evaluate_simulation(short_sim, names, rng=3)
+        )
+        reference, reference_counters = self._counting(
+            lambda: self._unmemoised(short_sim, names, 3)
+        )
+        assert reference_counters["hmm.fits"] == 4
+        assert counters["hmm.fits"] == reference_counters["hmm.fits"] - 2
+        assert counters["attack.memo_hits"] == 2 * len(DEFAULT_DETECTORS)
+        assert "attack.memo_hits" not in reference_counters
+        assert repr((result.baseline, result.defenses)) == repr(reference)
+
+    def test_telemetry_does_not_change_scores(self, short_sim):
+        names = ["identity", "noise"]
+        off = evaluate_simulation(short_sim, names, rng=3)
+        on, _ = self._counting(lambda: evaluate_simulation(short_sim, names, rng=3))
+        assert repr(on) == repr(off)
+
+    def test_key_includes_the_clock(self, short_sim):
+        metered = short_sim.metered
+        shifted = PowerTrace(metered.values, metered.period_s, metered.start_s + 60.0)
+        memo: dict = {}
+        for trace in (metered, shifted, metered):
+            occupancy_privacy(trace, short_sim.occupancy, memo=memo)
+        assert len(memo) == 2 * len(DEFAULT_DETECTORS)
 
 
 class TestRegistry:

@@ -188,6 +188,128 @@ class TestHMMKernels:
                 assert np.array_equal(a, b)
 
 
+class TestSmallModelKernels:
+    """Pins for the small-model paths: Python-float Viterbi, column folds."""
+
+    @staticmethod
+    def _viterbi_inputs(rng, n: int, k: int, sticky: bool):
+        if sticky:
+            transmat = np.full((k, k), 0.05 / max(k - 1, 1))
+            np.fill_diagonal(transmat, 0.95 if k > 1 else 1.0)
+            transmat /= transmat.sum(axis=1, keepdims=True)
+        else:
+            transmat = rng.dirichlet(np.ones(k), size=k)
+        log_pi = np.log(rng.dirichlet(np.ones(k)) + 1e-300)
+        log_a = np.log(transmat + 1e-300)
+        log_b = rng.normal(-5.0, 4.0, (n, k))
+        return log_pi, log_a, log_b
+
+    def test_float_viterbi_bitwise_for_every_small_k(self):
+        rng = np.random.default_rng(14)
+        for k in range(1, kernels.VITERBI_PRUNE_MIN_STATES):
+            for n in (1, 2, 288):
+                for sticky in (True, False):
+                    args = self._viterbi_inputs(rng, n, k, sticky)
+                    ref = kernels.viterbi_loop(*args)
+                    for path in (kernels._viterbi_small(*args), kernels.viterbi(*args)):
+                        assert path.dtype == ref.dtype
+                        assert np.array_equal(path, ref), (k, n, sticky)
+
+    def test_float_viterbi_bitwise_on_exact_ties(self):
+        # A NILL-flattened trace gives identical feature windows, hence
+        # constant emissions and exact score ties at every step; the first
+        # maximal index must win, as argmax picks it.
+        for k in range(1, kernels.VITERBI_FLOAT_MAX_STATES + 1):
+            for log_b in (np.zeros((288, k)), np.full((288, k), -3.25)):
+                log_pi = np.log(np.full(k, 1.0 / k))
+                log_a = np.log(np.full((k, k), 1.0 / k))
+                ref = kernels.viterbi_loop(log_pi, log_a, log_b)
+                assert np.array_equal(kernels._viterbi_small(log_pi, log_a, log_b), ref)
+                assert np.array_equal(kernels.viterbi(log_pi, log_a, log_b), ref)
+        # symmetric sticky k = 2 with equal emissions: ties in the
+        # backpointers as well as in the final argmax
+        log_a = np.log(np.array([[0.9, 0.1], [0.1, 0.9]]))
+        log_pi = np.log(np.array([0.5, 0.5]))
+        log_b = np.full((50, 2), -1.0)
+        assert np.array_equal(
+            kernels._viterbi_small(log_pi, log_a, log_b),
+            kernels.viterbi_loop(log_pi, log_a, log_b),
+        )
+
+    def test_non_finite_inputs_fall_back_to_the_loop(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        log_pi, log_a, log_b = self._viterbi_inputs(rng, 40, 2, sticky=True)
+        bad_b = log_b.copy()
+        bad_b[5, 1] = -np.inf
+        nan_b = log_b.copy()
+        nan_b[7, 0] = np.nan
+        bad_a = log_a.copy()
+        bad_a[0, 1] = -np.inf
+        cases = [
+            (log_pi, log_a, bad_b),
+            (log_pi, log_a, nan_b),
+            (log_pi, bad_a, log_b),
+            (np.array([0.0, -np.inf]), log_a, log_b),
+        ]
+        expected = [kernels.viterbi_loop(*args) for args in cases]
+
+        def refuse(*_args):
+            raise AssertionError("non-finite input reached the float trellis")
+
+        monkeypatch.setattr(kernels, "_viterbi_small", refuse)
+        for args, ref in zip(cases, expected):
+            assert np.array_equal(kernels.viterbi(*args), ref)
+
+    def test_log_gaussian_bitwise_across_the_pairwise_block(self):
+        # numpy's pairwise summation starts splitting at 8 elements, so
+        # d = 1..9 covers both the column fold and the numpy fallback
+        rng = np.random.default_rng(8)
+        for d in range(1, 10):
+            for k in (1, 2, 3):
+                X = rng.normal(0.0, 3.0, (288, d))
+                means = rng.normal(0.0, 2.0, (k, d))
+                variances = rng.uniform(1e-3, 50.0, (k, d))
+                assert np.array_equal(
+                    kernels.log_gaussian(X, means, variances),
+                    kernels.log_gaussian_loop(X, means, variances),
+                ), (d, k)
+
+    def test_row_folds_match_numpy_reductions(self):
+        rng = np.random.default_rng(21)
+        for ncols in range(1, 18):
+            A = rng.normal(0.0, 1.0, (64, ncols)) * 10.0 ** rng.integers(
+                -8, 8, (64, ncols)
+            )
+            A[:4] = -0.0  # numpy sums a row of -0.0 to +0.0
+            A[4:8, ::2] = 0.0
+            A[4:8, 1::2] = -0.0
+            for arr in (A, A.reshape(8, 8, ncols), A[:, ::-1]):
+                for fold, ref in (
+                    (kernels.row_sum, arr.sum(axis=-1)),
+                    (kernels.row_max, arr.max(axis=-1)),
+                ):
+                    out = fold(arr)
+                    assert out.shape == ref.shape
+                    assert out.tobytes() == ref.tobytes(), (fold.__name__, ncols)
+
+    def test_kmeans_assign_matches_argmin(self):
+        from repro.ml.kmeans import KMeans
+
+        rng = np.random.default_rng(5)
+        for d in (1, 4, 9):
+            X = rng.normal(0.0, 1.0, (300, d))
+            for k in (1, 2, 3):
+                centroids = rng.normal(0.0, 1.0, (k, d))
+                if k > 1:
+                    centroids[-1] = centroids[0]  # exact distance ties
+                labels, closest = KMeans._assign(X, centroids)
+                dists = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+                ref = dists.argmin(axis=1)
+                assert labels.dtype == ref.dtype
+                assert np.array_equal(labels, ref)
+                assert np.array_equal(closest, dists[np.arange(len(X)), ref])
+
+
 class TestModelEquivalence:
     """Whole-model pins: production GaussianHMM/FactorialHMM vs loop baseline."""
 

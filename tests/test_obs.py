@@ -292,6 +292,31 @@ class TestComponentTimers:
         )
 
 
+class TestDetectionMemoTelemetry:
+    """``attack.memo_hits`` shows the detector runs ``identity`` saves."""
+
+    SPEC = FleetSpec(n_homes=2, days=1, seed=11, defenses=("identity", "nill"))
+
+    def test_memo_hits_counted_and_results_unchanged(self):
+        from repro.fleet import result_digest
+
+        off = run_fleet(self.SPEC, workers=1)
+        on = run_fleet(self.SPEC, workers=1, telemetry=True)
+        assert result_digest(on) == result_digest(off)
+        n_detectors = len(self.SPEC.detectors)
+        assert on.telemetry.counters["attack.memo_hits"] == (
+            self.SPEC.n_homes * n_detectors
+        )
+        for name in self.SPEC.detectors:
+            # identity repeats the baseline trace, so only the baseline
+            # and nill are detected
+            assert on.telemetry.timers[f"stage.attack.{name}"].count == (
+                2 * self.SPEC.n_homes
+            )
+        for home in on.homes:
+            assert home.defenses["identity"].privacy == home.baseline.privacy
+
+
 class TestCacheTelemetry:
     def test_cached_results_carry_no_snapshot(self, tmp_path):
         cache_dir = tmp_path / "cache"
